@@ -205,16 +205,12 @@ impl GridSpec {
         for (k, axis) in self.axes().iter().enumerate() {
             let (lo, hi) = (axis[0], *axis.last().expect("validated non-empty"));
             let span = hi - lo;
-            // Rounding slack keeps an exact re-query of a boundary
-            // sample (or of a singleton axis, whose span is zero)
-            // inside despite float noise in `hi - lo`.
-            let rounding = 1e-12 * lo.abs().max(hi.abs()).max(1.0);
             let margin = if span > 0.0 {
                 self.trust_margin * span
             } else {
                 self.trust_margin * lo.abs()
             };
-            let slack = margin + rounding;
+            let slack = margin + rounding_slack(lo, hi);
             if coords[k] < lo - slack || coords[k] > hi + slack {
                 return Some(AXIS_NAMES[k]);
             }
@@ -234,11 +230,20 @@ impl GridSpec {
             .enumerate()
             .filter(|(k, axis)| {
                 let (lo, hi) = (axis[0], *axis.last().expect("validated non-empty"));
-                let rounding = 1e-12 * lo.abs().max(hi.abs()).max(1.0);
+                let rounding = rounding_slack(lo, hi);
                 coords[*k] < lo - rounding || coords[*k] > hi + rounding
             })
             .count()
     }
+}
+
+/// Float-noise allowance when comparing a coordinate with an axis hull
+/// `[lo, hi]`: it keeps an exact re-query of a boundary sample (or of a
+/// singleton axis, whose span is zero) inside despite float noise in the
+/// margin arithmetic. Relative to the axis magnitude, so it stays a
+/// rounding allowance in any unit (5e-23 s on a 50 ps slew axis).
+pub(crate) fn rounding_slack(lo: f64, hi: f64) -> f64 {
+    1e-12 * lo.abs().max(hi.abs())
 }
 
 #[cfg(test)]
@@ -363,6 +368,50 @@ mod tests {
             }),
             Some("slew")
         );
+    }
+
+    /// Every sample of every axis, re-queried exactly, is in trust and
+    /// clamps nothing — with no margin to hide rounding behind.
+    #[test]
+    fn every_grid_sample_requeried_exactly_stays_in_trust() {
+        let picoscale = GridSpec::new(
+            vec![20e-12, 50e-12, 80e-12],
+            vec![1e-15, 5e-15],
+            vec![0.8, 1.1, 1.4],
+            vec![0.8, 1.1, 1.4],
+            vec![-40.0, 0.0, 27.0, 125.0],
+            0.0,
+        )
+        .unwrap();
+        for g in [
+            tiny(),
+            picoscale,
+            GridSpec::rails(0.8, 1.4, 0.3, vec![27.0]).unwrap(),
+        ] {
+            for flat in 0..g.n_points() {
+                let q = g.point(flat);
+                assert_eq!(g.out_of_trust(&q), None, "{q:?}");
+                assert_eq!(g.clamped_axes(&q), 0, "{q:?}");
+            }
+        }
+    }
+
+    /// The rails grid's singleton slew (50 ps) and load (1 fF) axes
+    /// admit their own sample only: the rounding slack is relative, so
+    /// it is not a picosecond or a picofarad wide.
+    #[test]
+    fn rails_grid_rejects_off_sample_slew_and_load() {
+        let g = GridSpec::rails(0.8, 1.4, 0.3, vec![27.0]).unwrap();
+        let on = g.point(0);
+        let load = |load| QueryPoint { load, ..on };
+        for (q, axis) in [
+            (load(500e-15), "load"),
+            (load(990e-15), "load"),
+            (QueryPoint { slew: 51e-12, ..on }, "slew"),
+        ] {
+            assert_eq!(g.out_of_trust(&q), Some(axis), "{q:?}");
+            assert_eq!(g.clamped_axes(&q), 1, "{q:?}");
+        }
     }
 
     #[test]

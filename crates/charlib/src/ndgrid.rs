@@ -13,6 +13,7 @@
 //! returned [`NdFallback`] reasons themselves, which keeps the
 //! aggregation deterministic under parallel candidate fan-out.
 
+use crate::grid::rounding_slack;
 use crate::interp::locate;
 use crate::{CharLibError, TableMetrics};
 
@@ -184,13 +185,12 @@ impl NdGrid {
                 *axis.samples.last().expect("validated non-empty"),
             );
             let span = hi - lo;
-            let rounding = 1e-12 * lo.abs().max(hi.abs()).max(1.0);
             let margin = if span > 0.0 {
                 self.trust_margin * span
             } else {
                 self.trust_margin * lo.abs()
             };
-            let slack = margin + rounding;
+            let slack = margin + rounding_slack(lo, hi);
             if x[k] < lo - slack || x[k] > hi + slack {
                 return Some(&axis.name);
             }
@@ -210,7 +210,7 @@ impl NdGrid {
                     axis.samples[0],
                     *axis.samples.last().expect("validated non-empty"),
                 );
-                let rounding = 1e-12 * lo.abs().max(hi.abs()).max(1.0);
+                let rounding = rounding_slack(lo, hi);
                 x[*k] < lo - rounding || x[*k] > hi + rounding
             })
             .count()
@@ -440,6 +440,11 @@ mod tests {
         assert_eq!(t.grid().clamped_axes(&[1.05, 1.5]), 1);
         // Exactly on the hull corner: zero clamped axes, serves.
         assert!(t.probe(&[1.0, 2.0]).is_ok());
+        // A picosecond-scale singleton axis admits its sample only.
+        let g = NdGrid::new(vec![("slew".into(), vec![50e-12])], 0.0).unwrap();
+        assert_eq!(g.out_of_trust(&[50e-12]), None);
+        assert_eq!(g.out_of_trust(&[51e-12]), Some("slew"));
+        assert_eq!(g.clamped_axes(&[51e-12]), 1);
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! Every MC trial of one circuit shares the element list and sparsity
 //! pattern; only the per-device parameters (W, L, VT0) differ. Packing
 //! the K perturbed variants of one MOSFET into parameter lanes lets the
-//! engine evaluate the same device across all trials in one tight loop:
-//! the bias gathers, the EKV evaluation (analytic derivatives, no
-//! central-difference re-walks of the model), and the stamp formation
-//! all run lane-major with no per-trial dispatch. The lane count K is
-//! fixed at construction; lane 0 is conventionally the first trial of
-//! the group, not a nominal reference.
+//! engine evaluate the same device across all trials in one loop: the
+//! bias gathers, the EKV evaluation ([`MosModel::op`], the same analytic
+//! linearization the scalar kernel stamps) and the stamp formation all
+//! run lane-major with no per-trial dispatch. The lane count K is fixed
+//! at construction; lane 0 is conventionally the first trial of the
+//! group, not a nominal reference.
 
 use crate::bypass::{MosBias, MosStamp};
 use crate::mosfet::{MosCaps, MosGeometry, MosModel};
@@ -55,9 +55,8 @@ impl MosLanes {
     }
 
     /// Evaluates this device across all lanes: lane `k` is linearized
-    /// at `biases[k]` and its Newton stamp written to `out[k]`. Uses
-    /// the analytic operating point — one model walk per lane instead
-    /// of the seven central-difference walks `MosModel::op` costs.
+    /// at `biases[k]` and its Newton stamp written to `out[k]`, exactly
+    /// as the scalar kernel would stamp it.
     pub fn eval_batch(&self, biases: &[MosBias], temp_k: f64, out: &mut [MosStamp]) {
         debug_assert_eq!(biases.len(), self.lanes());
         debug_assert_eq!(out.len(), self.lanes());
@@ -66,7 +65,7 @@ impl MosLanes {
             .zip(biases)
             .zip(self.models.iter().zip(&self.geoms))
         {
-            let op = model.op_analytic(geom, bias.vg, bias.vd, bias.vs, bias.vb, temp_k);
+            let op = model.op(geom, bias.vg, bias.vd, bias.vs, bias.vb, temp_k);
             *slot = MosStamp::from_op(&op, bias);
         }
     }
@@ -113,7 +112,7 @@ mod tests {
         lanes.caps_batch(&biases, 300.15, &mut caps);
         for k in 0..3 {
             let b = &biases[k];
-            let op = models[k].op_analytic(&geoms[k], b.vg, b.vd, b.vs, b.vb, 300.15);
+            let op = models[k].op(&geoms[k], b.vg, b.vd, b.vs, b.vb, 300.15);
             assert_eq!(stamps[k], MosStamp::from_op(&op, b));
             assert_eq!(
                 caps[k],

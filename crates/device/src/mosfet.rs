@@ -15,10 +15,11 @@
 //! `β/(1+θ·V_ov)` standing in for velocity saturation. V_T carries body
 //! effect, DIBL and a linear temperature coefficient.
 //!
-//! Derivatives for the Newton iteration are obtained by central
-//! differences on the (smooth) terminal current; at the scale of this
-//! workspace's circuits the robustness of a single code path outweighs
-//! the cost.
+//! Derivatives for the Newton iteration come from the analytic chain
+//! rule through the same expressions that compute the current
+//! ([`MosModel::op`]), so the stamped current is bitwise the terminal
+//! current and each softplus shares one exponential with its sigmoid.
+//! Central differences survive only as the test oracle.
 //!
 //! Capacitances follow a smoothed Meyer partition of the intrinsic gate
 //! capacitance plus constant overlap and junction terms. Like SPICE2's
@@ -171,18 +172,19 @@ pub(crate) fn softplus(x: f64) -> f64 {
     }
 }
 
-/// Derivative of [`softplus`], branch-for-branch consistent with it so
-/// the analytic lane evaluator differentiates exactly the function the
-/// scalar model computes (`d/dx ln(1+e^x) = σ(x)`; the saturated
-/// branches have derivatives 1 and `e^x` respectively).
-pub(crate) fn softplus_deriv(x: f64) -> f64 {
+/// [`softplus`] and its derivative `σ(x) = e^x / (1 + e^x)` from one
+/// shared exponential, branch-for-branch consistent with `softplus` so
+/// the value is bitwise `softplus(x)` (the saturated branches have
+/// derivatives 1 and `e^x` respectively).
+fn softplus_sigmoid(x: f64) -> (f64, f64) {
     if x > 40.0 {
-        1.0
+        (x, 1.0)
     } else if x < -40.0 {
-        x.exp()
+        let e = x.exp();
+        (e, e)
     } else {
         let e = x.exp();
-        e / (1.0 + e)
+        (e.ln_1p(), e / (1.0 + e))
     }
 }
 
@@ -403,30 +405,41 @@ impl MosModel {
     }
 
     /// Operating point: current plus conductances for the Newton
-    /// iteration, from absolute terminal voltages.
+    /// iteration, from absolute terminal voltages. The current is
+    /// bitwise [`Self::ids_terminal`]; the conductances are the analytic
+    /// partial derivatives of that same expression (one model walk, 3
+    /// `exp` + 3 `ln_1p`).
     pub fn op(&self, geom: &MosGeometry, vg: f64, vd: f64, vs: f64, vb: f64, temp_k: f64) -> MosOp {
-        const H: f64 = 1e-6;
-        let id = self.ids_terminal(geom, vg, vd, vs, vb, temp_k);
-        let gm = (self.ids_terminal(geom, vg + H, vd, vs, vb, temp_k)
-            - self.ids_terminal(geom, vg - H, vd, vs, vb, temp_k))
-            / (2.0 * H);
-        let gds = (self.ids_terminal(geom, vg, vd + H, vs, vb, temp_k)
-            - self.ids_terminal(geom, vg, vd - H, vs, vb, temp_k))
-            / (2.0 * H);
-        let gmb = (self.ids_terminal(geom, vg, vd, vs, vb + H, temp_k)
-            - self.ids_terminal(geom, vg, vd, vs, vb - H, temp_k))
-            / (2.0 * H);
-        MosOp { id, gm, gds, gmb }
+        let (id, di_dvgs, di_dvds, di_dvsb) = self.ids_d(geom, vg - vs, vd - vs, vs - vb, temp_k);
+        // Terminal map: vgs = vg−vs, vds = vd−vs, vsb = vs−vb, so
+        // gm = ∂/∂vgs, gds = ∂/∂vds, gmb = ∂/∂vb = −∂/∂vsb.
+        MosOp {
+            id,
+            gm: di_dvgs,
+            gds: di_dvds,
+            gmb: -di_dvsb,
+        }
+    }
+
+    /// Same as [`Self::op`], which is analytic too; kept as a name for
+    /// callers that pick the analytic linearization explicitly.
+    pub fn op_analytic(
+        &self,
+        geom: &MosGeometry,
+        vg: f64,
+        vd: f64,
+        vs: f64,
+        vb: f64,
+        temp_k: f64,
+    ) -> MosOp {
+        self.op(geom, vg, vd, vs, vb, temp_k)
     }
 
     /// Canonical current *and* its partial derivatives with respect to
     /// `(vgs, vds, vsb)`, for `vds ≥ 0` in the NMOS frame. The value is
     /// computed by the same operation sequence as [`Self::ids_canonical`]
-    /// so it is bitwise identical; the partials come from the analytic
-    /// chain rule instead of central differences — roughly a 3.5× flop
-    /// reduction per Newton stamp, which is what makes the batched
-    /// Monte Carlo lanes pay off (the EKV evaluation dominates the MC
-    /// profile, see BENCH_newton.json).
+    /// so it is bitwise identical; the partials come from the chain
+    /// rule, each softplus sharing its exponential with its sigmoid.
     fn ids_canonical_d(
         &self,
         geom: &MosGeometry,
@@ -453,14 +466,18 @@ impl MosModel {
 
         let vp = (vgs - vt) / self.n;
         let u = vp / phi_t;
-        let vov = self.n * phi_t * softplus(u);
+        let (sp_u, sig_u) = softplus_sigmoid(u);
+        let vov = self.n * phi_t * sp_u;
         let kp_t = self.kp * (temp_k / self.tnom).powf(self.mu_exp);
         let denom = 1.0 + self.theta * vov;
         let beta = kp_t * (geom.width / geom.length) / denom;
         let i0 = 2.0 * self.n * beta * phi_t * phi_t;
         let ur = (vp - vds) / phi_t;
-        let fwd = ekv_f(u);
-        let rev = ekv_f(ur);
+        // F(x) = softplus(x/2)², as in `ekv_f`.
+        let (sp_f, sig_f) = softplus_sigmoid(u / 2.0);
+        let (sp_r, sig_r) = softplus_sigmoid(ur / 2.0);
+        let fwd = sp_f * sp_f;
+        let rev = sp_r * sp_r;
         let clm = 1.0 + self.lambda * vds;
         let i = i0 * (fwd - rev) * clm;
 
@@ -471,9 +488,9 @@ impl MosModel {
         let dvp_dvgs = 1.0 / self.n;
         let dvp_dvds = dibl_eff / self.n;
         let dvp_dvsb = -dvt_dvsb / self.n;
-        let dfwd_du = softplus(u / 2.0) * softplus_deriv(u / 2.0);
-        let drev_dur = softplus(ur / 2.0) * softplus_deriv(ur / 2.0);
-        let dvov_dvp = self.n * softplus_deriv(u);
+        let dfwd_du = sp_f * sig_f;
+        let drev_dur = sp_r * sig_r;
+        let dvov_dvp = self.n * sig_u;
         let di0_dvp = -i0 * self.theta * dvov_dvp / denom;
         let di_dvp = (di0_dvp * (fwd - rev) + i0 * (dfwd_du - drev_dur) / phi_t) * clm;
         let di_dvgs = di_dvp * dvp_dvgs;
@@ -522,32 +539,6 @@ impl MosModel {
                 let (i, g1, g2, g3) = self.ids_oriented_d(geom, -vgs, -vds, -vsb, temp_k);
                 (-i, g1, g2, g3)
             }
-        }
-    }
-
-    /// [`Self::op`] with analytically differentiated conductances — the
-    /// batched Monte Carlo lane evaluator. The current is bitwise
-    /// identical to [`Self::ids_terminal`]; the conductances agree with
-    /// the central-difference [`Self::op`] to the secant truncation
-    /// error (≈1e-6 relative), which is why the batched kernel is gated
-    /// behind `batch_lanes > 1` instead of replacing the scalar path.
-    pub fn op_analytic(
-        &self,
-        geom: &MosGeometry,
-        vg: f64,
-        vd: f64,
-        vs: f64,
-        vb: f64,
-        temp_k: f64,
-    ) -> MosOp {
-        let (id, di_dvgs, di_dvds, di_dvsb) = self.ids_d(geom, vg - vs, vd - vs, vs - vb, temp_k);
-        // Terminal map: vgs = vg−vs, vds = vd−vs, vsb = vs−vb, so
-        // gm = ∂/∂vgs, gds = ∂/∂vds, gmb = ∂/∂vb = −∂/∂vsb.
-        MosOp {
-            id,
-            gm: di_dvgs,
-            gds: di_dvds,
-            gmb: -di_dvsb,
         }
     }
 
@@ -899,11 +890,34 @@ mod tests {
         assert!((i2 / i1 - 2.0).abs() < 1e-9);
     }
 
+    /// Central-difference linearization, seven model walks: the oracle
+    /// the analytic [`MosModel::op`] is checked against.
+    fn op_central(
+        m: &MosModel,
+        g: &MosGeometry,
+        vg: f64,
+        vd: f64,
+        vs: f64,
+        vb: f64,
+        temp_k: f64,
+    ) -> MosOp {
+        const H: f64 = 1e-6;
+        let i = |vg, vd, vs, vb| m.ids_terminal(g, vg, vd, vs, vb, temp_k);
+        MosOp {
+            id: i(vg, vd, vs, vb),
+            gm: (i(vg + H, vd, vs, vb) - i(vg - H, vd, vs, vb)) / (2.0 * H),
+            gds: (i(vg, vd + H, vs, vb) - i(vg, vd - H, vs, vb)) / (2.0 * H),
+            gmb: (i(vg, vd, vs, vb + H) - i(vg, vd, vs, vb - H)) / (2.0 * H),
+        }
+    }
+
     /// The analytic operating point must agree with the central-difference
-    /// `op()` across polarity, bias orientation (vds of both signs, so the
-    /// drain/source-swap chain rule is exercised), body bias (both sides
-    /// of the clamp), geometry, and temperature. The current itself must
-    /// be *bitwise* identical: it is computed by the same operation
+    /// oracle across every built-in card (nominal, hvt, lvt), polarity,
+    /// bias orientation (vds of both signs, so the drain/source-swap chain
+    /// rule is exercised), body bias (both sides of the clamp), geometry,
+    /// 27 °C and 90 °C, and a sub-threshold grid of terminal voltages
+    /// (0.1 V steps up to 0.5 V). The current itself must be *bitwise*
+    /// identical to `ids_terminal`: it is computed by the same operation
     /// sequence.
     #[test]
     fn op_analytic_matches_central_differences() {
@@ -912,50 +926,79 @@ mod tests {
         // phi = 0.85), where the one-sided derivative would disagree with
         // the straddling secant by construction.
         let biases = [-1.2, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9, 1.2];
+        let mut strong = Vec::new();
+        for vg in biases {
+            for vd in biases {
+                for vs in [0.0, 0.3, 0.6] {
+                    strong.push((vg, vd, vs, 0.0));
+                }
+            }
+        }
+        // Sub-threshold supplies: every terminal on a 0.1 V grid up to
+        // 0.5 V, the bulk at either end of it (|vsb| ≤ 0.5 V, far from
+        // the clamp). Currents here are pA–nA, so the tolerance floor is
+        // far below them.
+        let low: Vec<f64> = (0..=5).map(|k| 0.1 * k as f64).collect();
+        let mut weak = Vec::new();
+        for &vg in &low {
+            for &vd in &low {
+                for &vs in &low {
+                    for vb in [0.0, 0.5] {
+                        weak.push((vg, vd, vs, vb));
+                    }
+                }
+            }
+        }
         let geoms = [
             MosGeometry::from_microns(0.2, 0.1),
             MosGeometry::from_microns(1.0, 0.2),
         ];
         let mut checked = 0usize;
-        for m in [MosModel::ptm90_nmos(), MosModel::ptm90_pmos()] {
+        for m in [
+            MosModel::ptm90_nmos(),
+            MosModel::ptm90_nmos_hvt(),
+            MosModel::ptm90_nmos_lvt(),
+            MosModel::ptm90_pmos(),
+            MosModel::ptm90_pmos_hvt(),
+        ] {
             for g in &geoms {
                 for temp_k in [300.15, 363.15] {
-                    for vg in biases {
-                        for vd in biases {
-                            for vs in [0.0, 0.3, 0.6] {
-                                let a = m.op_analytic(g, vg, vd, vs, 0.0, temp_k);
-                                let c = m.op(g, vg, vd, vs, 0.0, temp_k);
-                                let id = m.ids_terminal(g, vg, vd, vs, 0.0, temp_k);
-                                assert_eq!(a.id.to_bits(), id.to_bits(), "id not bitwise");
-                                for (name, ga, gc) in [
-                                    ("gm", a.gm, c.gm),
-                                    ("gds", a.gds, c.gds),
-                                    ("gmb", a.gmb, c.gmb),
-                                ] {
-                                    // Secant truncation is O(h²·i'''), so
-                                    // allow 1e-6 relative with a small
-                                    // absolute floor for cutoff biases.
-                                    // At vds = 0 the drain/source swap
-                                    // makes the model C¹ only (DIBL
-                                    // breaks perfect symmetry), biasing
-                                    // the straddling secant by O(h).
-                                    let rel = if vd == vs { 1e-5 } else { 1e-6 };
-                                    let tol = rel * gc.abs().max(1e-9);
-                                    assert!(
-                                        (ga - gc).abs() <= tol,
-                                        "{name} mismatch at vg={vg} vd={vd} vs={vs} \
-                                         T={temp_k} {:?}: analytic {ga:e} secant {gc:e}",
-                                        m.polarity,
-                                    );
-                                }
-                                checked += 1;
+                    for (grid, floor) in [(&strong, 1e-9), (&weak, 1e-18)] {
+                        for &(vg, vd, vs, vb) in grid {
+                            let a = m.op(g, vg, vd, vs, vb, temp_k);
+                            let c = op_central(&m, g, vg, vd, vs, vb, temp_k);
+                            let id = m.ids_terminal(g, vg, vd, vs, vb, temp_k);
+                            assert_eq!(a.id.to_bits(), id.to_bits(), "id not bitwise");
+                            assert_eq!(a, m.op_analytic(g, vg, vd, vs, vb, temp_k));
+                            for (name, ga, gc) in [
+                                ("gm", a.gm, c.gm),
+                                ("gds", a.gds, c.gds),
+                                ("gmb", a.gmb, c.gmb),
+                            ] {
+                                // Secant truncation is O(h²·i'''), so
+                                // allow 1e-6 relative with a small
+                                // absolute floor for cutoff biases. At
+                                // vds = 0 the drain/source swap makes
+                                // the model C¹ only (DIBL breaks perfect
+                                // symmetry), biasing the straddling
+                                // secant by O(h).
+                                let rel = if vd == vs { 1e-5 } else { 1e-6 };
+                                let tol = rel * gc.abs().max(floor);
+                                assert!(
+                                    (ga - gc).abs() <= tol,
+                                    "{name} mismatch at vg={vg} vd={vd} vs={vs} vb={vb} \
+                                     T={temp_k} vt0={} {:?}: analytic {ga:e} secant {gc:e}",
+                                    m.vt0,
+                                    m.polarity,
+                                );
                             }
+                            checked += 1;
                         }
                     }
                 }
             }
         }
-        assert!(checked > 1000, "sweep too small: {checked}");
+        assert!(checked > 8000, "sweep too small: {checked}");
     }
 
     /// Deep body reverse bias drives phi + vsb into the clamp; the
@@ -965,8 +1008,8 @@ mod tests {
     fn op_analytic_respects_body_clamp() {
         let (m, g) = nmos();
         // vs − vb = 1.2 − 2.2 → vsb = −1.0, phi + vsb = −0.15 < 1e-3.
-        let a = m.op_analytic(&g, 2.0, 2.0, 1.2, 2.2, T);
-        let c = m.op(&g, 2.0, 2.0, 1.2, 2.2, T);
+        let a = m.op(&g, 2.0, 2.0, 1.2, 2.2, T);
+        let c = op_central(&m, &g, 2.0, 2.0, 1.2, 2.2, T);
         assert_eq!(a.gmb, 0.0, "clamped body effect must have zero slope");
         assert!((a.gm - c.gm).abs() <= 1e-6 * c.gm.abs().max(1e-12));
         assert!((a.gds - c.gds).abs() <= 1e-6 * c.gds.abs().max(1e-12));

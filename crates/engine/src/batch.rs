@@ -6,7 +6,7 @@
 //! that: K perturbed variants run *in lockstep* through one shared
 //! compiled CSC pattern and scatter map, one SoA device evaluation per
 //! MOSFET per Newton iteration ([`vls_device::MosLanes::eval_batch`],
-//! analytic derivatives instead of central differences), and one
+//! the same analytic `MosModel::op` the scalar kernel stamps), and one
 //! multi-lane LU ([`vls_num::MultiLu`]) whose healthy lanes share a
 //! single frozen pivot order.
 //!
@@ -28,8 +28,8 @@
 //! Device bypass (`SimOptions::bypass_vtol`) is intentionally **not**
 //! applied in batched mode: a bypass hit would have to hold across all
 //! K lanes to skip the batched evaluation, which on perturbed ensembles
-//! almost never happens; the win here comes from analytic derivatives
-//! and the shared step loop instead. Fault semantics: the per-lane DC
+//! almost never happens; the economy here is the shared step loop and
+//! the once-per-group pattern instead. Fault semantics: the per-lane DC
 //! initialization runs fault-free; the armed plan addresses the shared
 //! lockstep loop (`pivot` degrades one lane of the multi-LU, `lte`
 //! rejects a shared step), so counters stay exact and deterministic
@@ -781,9 +781,10 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "lanes diverged");
             }
         }
-        // The batched kernel uses analytic derivatives, so the grid and
-        // iterates are not bitwise those of the scalar kernel — but the
-        // physics must match well inside solver tolerance.
+        // The batched kernel has its own multi-lane LU and step loop, so
+        // the grid and iterates are not bitwise those of the scalar
+        // kernel — but the physics must match well inside solver
+        // tolerance.
         let a = scalar.final_voltage(out);
         let b = batch.lanes[0].final_voltage(out);
         assert!((a - b).abs() < 1e-6, "scalar {a} vs batched {b}");

@@ -154,14 +154,12 @@ impl DenseMatrix {
         out.perm.extend(0..n);
         out.sign = 1.0;
         let lu = &mut out.lu;
-        let perm = &mut out.perm;
-        let sign = &mut out.sign;
         for k in 0..n {
             // Partial pivoting: largest magnitude in column k at/below row k.
             let mut pivot_row = k;
             let mut pivot_mag = lu[k * n + k].abs();
-            for i in (k + 1)..n {
-                let mag = lu[i * n + k].abs();
+            for (i, row) in lu.chunks_exact(n).enumerate().skip(k + 1) {
+                let mag = row[k].abs();
                 if mag > pivot_mag {
                     pivot_mag = mag;
                     pivot_row = i;
@@ -171,19 +169,22 @@ impl DenseMatrix {
                 return Err(NumError::Singular(k));
             }
             if pivot_row != k {
-                for j in 0..n {
-                    lu.swap(k * n + j, pivot_row * n + j);
-                }
-                perm.swap(k, pivot_row);
-                *sign = -*sign;
+                let (upper, lower) = lu.split_at_mut(pivot_row * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
+                out.perm.swap(k, pivot_row);
+                out.sign = -out.sign;
             }
-            let pivot = lu[k * n + k];
-            for i in (k + 1)..n {
-                let factor = lu[i * n + k] / pivot;
-                lu[i * n + k] = factor;
+            // Eliminate below the pivot, one row slice at a time.
+            let (done, below) = lu.split_at_mut((k + 1) * n);
+            let pivot_slice = &done[k * n..];
+            let pivot = pivot_slice[k];
+            let pivot_tail = &pivot_slice[k + 1..];
+            for row in below.chunks_exact_mut(n) {
+                let factor = row[k] / pivot;
+                row[k] = factor;
                 if factor != 0.0 {
-                    for j in (k + 1)..n {
-                        lu[i * n + j] -= factor * lu[k * n + j];
+                    for (r, &u) in row[k + 1..].iter_mut().zip(pivot_tail) {
+                        *r -= factor * u;
                     }
                 }
             }
@@ -253,29 +254,33 @@ impl DenseLu {
     ///
     /// Panics if `b.len()` or `x.len()` differs from the factorized
     /// dimension.
-    #[allow(clippy::needless_range_loop)] // triangular substitution reads clearest with indices
     pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
         assert_eq!(x.len(), self.n, "output length mismatch");
         let n = self.n;
+        if n == 0 {
+            return;
+        }
         // Apply permutation, then forward substitution (L has unit diagonal).
         for (xi, &p) in x.iter_mut().zip(&self.perm) {
             *xi = b[p];
         }
-        for i in 1..n {
-            let mut sum = x[i];
-            for j in 0..i {
-                sum -= self.lu[i * n + j] * x[j];
+        for (i, row) in self.lu.chunks_exact(n).enumerate().skip(1) {
+            let (solved, rest) = x.split_at_mut(i);
+            let mut sum = rest[0];
+            for (l, xj) in row[..i].iter().zip(solved.iter()) {
+                sum -= l * xj;
             }
-            x[i] = sum;
+            rest[0] = sum;
         }
         // Backward substitution with U.
-        for i in (0..n).rev() {
-            let mut sum = x[i];
-            for j in (i + 1)..n {
-                sum -= self.lu[i * n + j] * x[j];
+        for (i, row) in self.lu.chunks_exact(n).enumerate().rev() {
+            let (head, solved) = x.split_at_mut(i + 1);
+            let mut sum = head[i];
+            for (u, xj) in row[i + 1..].iter().zip(solved.iter()) {
+                sum -= u * xj;
             }
-            x[i] = sum / self.lu[i * n + i];
+            head[i] = sum / row[i];
         }
     }
 

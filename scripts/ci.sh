@@ -216,4 +216,13 @@ cargo run -q --release -p vls-bench --bin solve_scale -- --smoke
 echo "==> cargo test --release"
 cargo test -q --release
 
+# The benchmark's self-test: vlsbench is a package of its own, not a
+# workspace member, so no leg above builds it. Its tests run every
+# workload at --quick size, traced and untraced, and check their
+# outputs, so a library change that breaks the benchmark's build (a
+# renamed entry point) or its output checks fails here, before any
+# benchmark run.
+echo "==> cargo test (vlsbench self-test)"
+cargo test -q --manifest-path crates/bench/src/bin/vlsbench/Cargo.toml
+
 echo "CI green."

@@ -121,14 +121,33 @@ fn out_of_trust_region_falls_back_and_counts_the_miss() {
     );
     assert_eq!(lib.miss_count(), 2);
 
+    // So does a 500 fF load against the single 1 fF load sample: the
+    // slack around a singleton axis is a rounding allowance, not a
+    // picofarad.
+    let heavy = QueryPoint {
+        load: 500e-15,
+        ..at(1.15, 1.2)
+    };
+    let ev = lib.eval(&heavy).expect("exact fallback runs");
+    assert_eq!(
+        ev.source,
+        EvalSource::Exact(FallbackReason::OutOfTrustRegion("load"))
+    );
+    assert_eq!(
+        ev.metrics,
+        lib.eval_exact(&heavy).expect("exact protocol runs")
+    );
+    assert_eq!(lib.miss_count(), 3);
+
     // eval_table never serves those queries.
     assert!(lib.eval_table(&q).is_none());
     assert!(lib.eval_table(&hot).is_none());
+    assert!(lib.eval_table(&heavy).is_none());
 
     // Inside the region the table serves without touching the miss
     // counter.
     let ok = lib.eval(&at(1.15, 1.2)).expect("table hit");
     assert_eq!(ok.source, EvalSource::Table);
-    assert_eq!(lib.miss_count(), 2);
+    assert_eq!(lib.miss_count(), 3);
     assert_eq!(lib.hit_count(), 1);
 }
