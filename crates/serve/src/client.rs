@@ -1,9 +1,17 @@
 //! A minimal keep-alive HTTP/1.1 client for the daemon's own tests,
 //! load generator and CI smoke — the counterpart of [`crate::http`].
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+use crate::http::{read_head_line, MAX_HEAD};
+
+/// Ceiling on a response body, bytes. The daemon answers with JSON
+/// documents of a few kilobytes; a larger declared length comes from a
+/// broken or hostile server and is refused before anything is
+/// allocated for it.
+const MAX_RESPONSE_BODY: usize = 16 * 1024 * 1024;
 
 /// A persistent connection to the daemon.
 pub struct HttpClient {
@@ -27,12 +35,15 @@ impl HttpClient {
     }
 
     /// Issues one request on the persistent connection and reads the
-    /// full response.
+    /// full response. The request goes out in a single `write_all` of
+    /// one buffer holding head and body, so it leaves as one segment
+    /// rather than two.
     ///
     /// # Errors
     ///
     /// Transport failures, timeouts, and malformed responses (as
-    /// `InvalidData`).
+    /// `InvalidData`), among them a response head over 8 KiB and a
+    /// declared body over 16 MiB.
     pub fn request(
         &mut self,
         method: &str,
@@ -40,20 +51,25 @@ impl HttpClient {
         body: Option<&str>,
     ) -> std::io::Result<(u16, String)> {
         let body = body.unwrap_or("");
-        let head = format!(
+        let mut message = format!(
             "{method} {path} HTTP/1.1\r\nHost: vls-serve\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
             body.len()
         );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
+        message.push_str(body);
+        self.stream.write_all(message.as_bytes())?;
         self.stream.flush()?;
         self.read_response()
     }
 
     fn read_response(&mut self) -> std::io::Result<(u16, String)> {
         let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+        let mut head = self.reader.by_ref().take(MAX_HEAD as u64);
+        let mut next_line = |line: &mut String| {
+            read_head_line(&mut head, line)?
+                .ok_or_else(|| bad(format!("response head exceeds the {MAX_HEAD}-byte limit")))
+        };
         let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        if next_line(&mut line)? == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed before the status line",
@@ -67,7 +83,7 @@ impl HttpClient {
         let mut content_length = 0usize;
         loop {
             let mut header = String::new();
-            if self.reader.read_line(&mut header)? == 0 {
+            if next_line(&mut header)? == 0 {
                 return Err(bad("eof inside response headers".into()));
             }
             let header = header.trim_end();
@@ -82,6 +98,12 @@ impl HttpClient {
                         .map_err(|_| bad(format!("bad content-length '{}'", value.trim())))?;
                 }
             }
+        }
+        if content_length > MAX_RESPONSE_BODY {
+            return Err(bad(format!(
+                "declared body of {content_length} bytes exceeds the \
+                 {MAX_RESPONSE_BODY}-byte limit"
+            )));
         }
         let mut body = vec![0u8; content_length];
         self.reader.read_exact(&mut body)?;
@@ -105,4 +127,30 @@ pub fn one_shot(
     body: Option<&str>,
 ) -> std::io::Result<(u16, String)> {
     HttpClient::connect(addr, Duration::from_secs(60))?.request(method, path, body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn an_oversized_declared_body_is_refused_before_allocation() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let (mut conn, _) = listener.accept().expect("accept");
+                let mut request = [0u8; 256];
+                let _ = conn.read(&mut request);
+                let _ = conn.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000\r\n\r\n");
+            });
+            let mut client = HttpClient::connect(addr, Duration::from_secs(10)).expect("connect");
+            let err = client
+                .request("GET", "/healthz", None)
+                .expect_err("a terabyte body must be refused");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("exceeds"), "{err}");
+        });
+    }
 }

@@ -2,15 +2,19 @@
 //!
 //! Scope is exactly what the daemon needs: request line + headers,
 //! `Content-Length`-framed bodies (no chunked encoding), keep-alive,
-//! and an enforced body-size ceiling so a client cannot make the
-//! server buffer unbounded input.
+//! and enforced ceilings on both the request head and the body so a
+//! client cannot make the server buffer unbounded input. Each response
+//! leaves in one write, head and body together: on a `TCP_NODELAY`
+//! socket two writes are two segments, and the peer wakes once for
+//! each.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::TcpStream;
 
-/// Ceiling on the request line plus headers, bytes. Requests are tiny
-/// JSON documents; anything larger is hostile or broken.
-const MAX_HEAD: usize = 8 * 1024;
+/// Ceiling on a message head (request or status line plus headers),
+/// bytes. Messages are tiny JSON documents; anything larger is hostile
+/// or broken. The client holds responses to the same ceiling.
+pub(crate) const MAX_HEAD: usize = 8 * 1024;
 
 /// One parsed request.
 #[derive(Debug)]
@@ -50,6 +54,18 @@ impl From<std::io::Error> for HttpError {
     }
 }
 
+/// Reads one line of a message head from `head`, a reader limited to
+/// what is left of the `MAX_HEAD` allowance, so a line that never ends
+/// costs at most `MAX_HEAD` bytes of buffer. Returns the bytes read (0
+/// at end of stream), or `None` when the limit cut the line off.
+pub(crate) fn read_head_line<R: BufRead>(
+    head: &mut Take<R>,
+    line: &mut String,
+) -> std::io::Result<Option<usize>> {
+    let n = head.read_line(line)?;
+    Ok((head.limit() > 0 || line.ends_with('\n')).then_some(n))
+}
+
 /// Reads one request from a persistent connection. `reader` must wrap
 /// the same stream across calls so pipelined bytes survive between
 /// requests.
@@ -57,11 +73,16 @@ pub fn read_request(
     reader: &mut BufReader<TcpStream>,
     max_body: usize,
 ) -> Result<Request, HttpError> {
+    let mut head = reader.by_ref().take(MAX_HEAD as u64);
+    let mut next_line = |line: &mut String| {
+        read_head_line(&mut head, line)?.ok_or_else(|| {
+            HttpError::BadRequest(format!("request head exceeds the {MAX_HEAD}-byte limit"))
+        })
+    };
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if next_line(&mut line)? == 0 {
         return Err(HttpError::Closed);
     }
-    let mut head_bytes = line.len();
     let request_line = line.trim_end();
     let mut parts = request_line.split(' ');
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
@@ -82,12 +103,8 @@ pub fn read_request(
     let mut keep_alive = true; // HTTP/1.1 default
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if next_line(&mut header)? == 0 {
             return Err(HttpError::BadRequest("eof inside headers".into()));
-        }
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD {
-            return Err(HttpError::BadRequest("header block too large".into()));
         }
         let header = header.trim_end();
         if header.is_empty() {
@@ -141,20 +158,67 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one JSON response and flushes it.
-pub fn write_response(
-    stream: &mut TcpStream,
+/// Writes one JSON response and flushes it. Head and body go out in a
+/// single `write_all` of one buffer, so the response leaves as one
+/// segment rather than two.
+pub fn write_response<W: Write>(
+    stream: &mut W,
     status: u16,
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let head = format!(
+    let mut message = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         status_reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    message.push_str(body);
+    stream.write_all(message.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_is_one_write_of_head_plus_body() {
+        let cases = [
+            (200, true, "HTTP/1.1 200 OK", "keep-alive"),
+            (400, false, "HTTP/1.1 400 Bad Request", "close"),
+            (503, false, "HTTP/1.1 503 Service Unavailable", "close"),
+        ];
+        for (status, keep_alive, status_line, connection) in cases {
+            let body = format!("{{\"status\": {status}}}");
+            let mut w = CountingWriter::default();
+            write_response(&mut w, status, &body, keep_alive).expect("in-memory write");
+            assert_eq!(w.writes, 1, "status {status} took {} writes", w.writes);
+            let want = format!(
+                "{status_line}\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
+                body.len()
+            );
+            assert_eq!(String::from_utf8(w.bytes).expect("ASCII"), want);
+        }
+    }
 }

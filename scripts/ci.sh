@@ -130,7 +130,8 @@ cargo run -q --release -p vls-cli --bin vls-spice -- \
 # soak suites on one worker and at default parallelism (the soak
 # demands byte-identical bodies and balanced counters either way),
 # the release-mode load generator with its 500-QPS floor (reusing the
-# smoke artifact built above, refreshes BENCH_serve.json), then a CLI
+# smoke artifact built above; its result goes to the CI temp directory,
+# so the committed full-mode BENCH_serve.json stays as it is), then a CLI
 # smoke: validate the deployment with --check-config, boot a real
 # daemon on an ephemeral port, drive it over the wire with the load
 # generator's attach probe, and require a clean shutdown.
@@ -143,7 +144,7 @@ cargo test -q --test serve_api --test serve_soak
 
 echo "==> serve_qps --smoke (release, 500-QPS floor enforced)"
 cargo run -q --release -p vls-bench --bin serve_qps -- \
-    --smoke --lib "$CHARLIB_TMP/smoke.json"
+    --smoke --lib "$CHARLIB_TMP/smoke.json" --out "$CHARLIB_TMP/serve_qps_smoke.json"
 
 echo "==> vls-spice serve smoke (check-config, boot, attach probe, clean shutdown)"
 cargo run -q --release -p vls-cli --bin vls-spice -- \

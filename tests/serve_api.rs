@@ -1,9 +1,12 @@
 //! Protocol pin for the `vls-serve` query daemon: every test boots a
 //! real daemon on an ephemeral loopback port and holds the wire
 //! contract fixed — response schemas byte-for-byte, typed error
-//! bodies with the right status codes, oversized-body rejection, and
-//! the `--check-config` exit-code contract of the CLI front end.
+//! bodies with the right status codes, oversized-body and oversized-head
+//! rejection, and the `--check-config` exit-code contract of the CLI
+//! front end.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -156,6 +159,62 @@ fn oversized_bodies_are_rejected_and_close_the_connection() {
 
     // A fresh connection with a small body still works.
     let (status, _) = one_shot(addr, "POST", "/query", Some(IN_TRUST)).expect("fresh query");
+    assert_eq!(status, 200);
+
+    server.shutdown();
+    server.wait();
+}
+
+/// Reads until the daemon closes the connection. A reset counts as
+/// closed: the daemon may close with the rest of an oversized request
+/// still unread. A timeout does not.
+fn read_until_closed(stream: &mut TcpStream) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => return bytes,
+            Ok(n) => bytes.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => return bytes,
+            Err(e) => panic!("connection still open after {} bytes: {e}", bytes.len()),
+        }
+    }
+}
+
+#[test]
+fn an_endless_request_line_is_rejected_without_buffering_it() {
+    let server = start_daemon(ServeConfig::default());
+    let addr = server.addr();
+
+    // One megabyte of request line and no newline.
+    let mut line = b"GET /".to_vec();
+    line.resize(1 << 20, b'a');
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("set read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let response = std::thread::scope(|s| {
+        // The daemon may answer and close while the line is still being
+        // sent, which fails this write; only the answer matters.
+        s.spawn(move || {
+            let _ = writer.write_all(&line);
+            let _ = writer.shutdown(Shutdown::Write);
+        });
+        read_until_closed(&mut stream)
+    });
+
+    let response = String::from_utf8(response).expect("ASCII response");
+    let (head, body) = response
+        .split_once("\r\n\r\n")
+        .unwrap_or_else(|| panic!("no complete response head in {} bytes", response.len()));
+    assert!(head.starts_with("HTTP/1.1 400 "), "{head}");
+    assert!(head.contains("Connection: close"), "{head}");
+    assert!(body.contains("\"kind\": \"bad_request\""), "{body}");
+    assert!(body.len() < 1024, "{}-byte error body", body.len());
+
+    // The daemon still serves fresh connections.
+    let (status, _) = one_shot(addr, "GET", "/healthz", None).expect("healthz");
     assert_eq!(status, 200);
 
     server.shutdown();
