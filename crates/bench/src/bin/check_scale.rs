@@ -16,10 +16,10 @@
 //!    worker count, and a recorded baseline must suppress the full
 //!    report on re-application.
 //!
-//! Writes the `BENCH_check.json` perf-trajectory artifact.
+//! Writes the `BENCH_check.json` perf-trajectory artifact (or `--out PATH`).
 //!
 //! ```text
-//! cargo run --release -p vls-bench --bin check_scale [-- --smoke]
+//! cargo run --release -p vls-bench --bin check_scale [-- --smoke] [-- --out PATH]
 //! ```
 //!
 //! `--smoke` shrinks the sizes to [60, 240] for CI; every correctness
@@ -28,6 +28,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use vls_bench::BinArgs;
 use vls_check::{run_check, run_check_design_with, Baseline, CheckOptions, ErcCode, Report};
 use vls_netlist::chipgen::{generate_chip, generate_chip_mutated, ChipMutation, ChipSpec};
 use vls_netlist::HierDesign;
@@ -72,7 +73,7 @@ fn check_hier(design: &HierDesign, options: &CheckOptions, jobs: usize) -> Repor
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let (args, smoke) = BinArgs::parse_smoke(std::env::args().skip(1));
     let sizes: &[usize] = if smoke {
         &[60, 240]
     } else {
@@ -245,6 +246,5 @@ fn main() {
         fingerprints.len()
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_check.json", &json).expect("could not write BENCH_check.json");
-    println!("wrote BENCH_check.json");
+    args.write_artifact("BENCH_check.json", &json);
 }

@@ -10,10 +10,10 @@
 //! statistics must be bit-identical to the baseline; the ≥2x floor is
 //! enforced at the widest measured lane width ≥ 8.
 //!
-//! Writes the `BENCH_mc_batched.json` perf-trajectory artifact.
+//! Writes the `BENCH_mc_batched.json` perf-trajectory artifact (or `--out PATH`).
 //!
 //! ```text
-//! cargo run --release -p vls-bench --bin mc_batched [-- --smoke] [-- --jobs 4]
+//! cargo run --release -p vls-bench --bin mc_batched [-- --smoke] [-- --jobs 4] [-- --out PATH]
 //! ```
 //!
 //! `--smoke` shrinks the ensemble for CI; the floor is enforced either
@@ -32,9 +32,7 @@ const BYPASS_VTOL: f64 = 1e-4;
 const LANE_WIDTHS: [usize; 4] = [1, 4, 8, 16];
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let mut args = BinArgs::parse(raw.into_iter().filter(|a| a != "--smoke"));
+    let (mut args, smoke) = BinArgs::parse_smoke(std::env::args().skip(1));
     if smoke && args.trials == BinArgs::default().trials {
         args.trials = 32;
     }
@@ -173,8 +171,7 @@ fn main() {
         args.seed,
         lane_rows.join(",\n"),
     );
-    std::fs::write("BENCH_mc_batched.json", &json).expect("could not write BENCH_mc_batched.json");
-    println!("wrote BENCH_mc_batched.json");
+    args.write_artifact("BENCH_mc_batched.json", &json);
 
     let (k, speedup) = floor_speedup.expect("no lane width >= 8 was measured");
     assert!(

@@ -14,10 +14,10 @@
 //!    with both kernels and reported through [`RunReport`]'s
 //!    aggregated [`SolverStats`].
 //!
-//! Writes the `BENCH_newton.json` perf-trajectory artifact.
+//! Writes the `BENCH_newton.json` perf-trajectory artifact (or `--out PATH`).
 //!
 //! ```text
-//! cargo run --release -p vls-bench --bin newton_speedup [-- --smoke] [-- --jobs 4]
+//! cargo run --release -p vls-bench --bin newton_speedup [-- --smoke] [-- --jobs 4] [-- --out PATH]
 //! ```
 //!
 //! `--smoke` shrinks the mesh window and the ensemble for CI; the 2x
@@ -115,9 +115,7 @@ fn assert_agrees(
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let args = BinArgs::parse(raw.into_iter().filter(|a| a != "--smoke"));
+    let (args, smoke) = BinArgs::parse_smoke(std::env::args().skip(1));
 
     let kind = ShifterKind::sstvs();
     let domains = VoltagePair::low_to_high();
@@ -275,8 +273,7 @@ fn main() {
         mesh_stats.cap_evals,
         mesh_stats.cap_bypasses,
     );
-    std::fs::write("BENCH_newton.json", &json).expect("could not write BENCH_newton.json");
-    println!("wrote BENCH_newton.json");
+    args.write_artifact("BENCH_newton.json", &json);
 
     assert!(
         mesh_s >= 2.0,

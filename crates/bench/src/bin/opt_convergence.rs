@@ -1,7 +1,7 @@
 //! Convergence and speedup bench for the `vls-opt` sizing optimizer.
 //!
 //! ```text
-//! cargo run --release -p vls-bench --bin opt_convergence [-- --smoke --jobs N]
+//! cargo run --release -p vls-bench --bin opt_convergence [-- --smoke --jobs N --out PATH]
 //! ```
 //!
 //! Runs the real thing — a [`SimSource`] over two SS-TVS knobs (the
@@ -12,7 +12,8 @@
 //! sides). The run fails loudly when the optimizer exceeds its
 //! evaluation budget, when the accepted optimum's surrogate-vs-exact
 //! gap breaks tolerance, or when the per-evaluation speedup falls
-//! under the 50× floor. Writes the `BENCH_opt.json` artifact.
+//! under the 50× floor. Writes the `BENCH_opt.json` artifact (or
+//! `--out PATH`).
 //!
 //! `--smoke` shrinks the grid and budget to CI size; the measured
 //! speedup floor is identical in both modes (it is per-evaluation, not
@@ -29,10 +30,7 @@ use vls_opt::{
 };
 
 fn main() {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    argv.retain(|a| a != "--smoke");
-    let args = BinArgs::parse(argv);
+    let (args, smoke) = BinArgs::parse_smoke(std::env::args().skip(1));
 
     let (samples, budget, restarts) = if smoke { (3, 24, 0) } else { (4, 80, 1) };
     let space = ParamSpace::new(vec![
@@ -190,8 +188,7 @@ fn main() {
     let _ = writeln!(json, "  \"speedup_per_eval\": {speedup:.1},");
     let _ = writeln!(json, "  \"speedup_floor\": 50.0");
     json.push_str("}\n");
-    std::fs::write("BENCH_opt.json", &json).expect("could not write BENCH_opt.json");
-    println!("wrote BENCH_opt.json");
+    args.write_artifact("BENCH_opt.json", &json);
 
     args.maybe_write_csv(&format!(
         "metric,value\nevaluations,{}\nevals_to_optimum,{evals_to_best}\nexact_s_per_eval,\

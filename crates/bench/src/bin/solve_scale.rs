@@ -27,10 +27,10 @@
 //!    point and a short transient window, proving the 10k-unknown
 //!    chip solves DC+transient through the structured kernel.
 //!
-//! Writes the `BENCH_solve.json` perf-trajectory artifact.
+//! Writes the `BENCH_solve.json` perf-trajectory artifact (or `--out PATH`).
 //!
 //! ```text
-//! cargo run --release -p vls-bench --bin solve_scale [-- --smoke]
+//! cargo run --release -p vls-bench --bin solve_scale [-- --smoke] [-- --out PATH]
 //! ```
 //!
 //! `--smoke` shrinks the sizes to [100, 400] for CI; every correctness
@@ -39,6 +39,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use vls_bench::BinArgs;
 use vls_engine::{island_report, run_transient, solve_dc, SimOptions, SolverStructure};
 use vls_netlist::chipgen::{generate_chip, spec_for_unknowns, unknowns_of};
 use vls_netlist::Circuit;
@@ -135,7 +136,7 @@ struct Row {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let (args, smoke) = BinArgs::parse_smoke(std::env::args().skip(1));
     let targets: &[usize] = if smoke {
         &[100, 400]
     } else {
@@ -329,6 +330,5 @@ fn main() {
         tran.len()
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_solve.json", &json).expect("could not write BENCH_solve.json");
-    println!("wrote BENCH_solve.json");
+    args.write_artifact("BENCH_solve.json", &json);
 }

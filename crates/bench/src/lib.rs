@@ -15,7 +15,12 @@
 //! * `--csv PATH` — also write machine-readable output;
 //! * `--from-lib PATH` — serve from a prebuilt characterization
 //!   library artifact (built on first use) where the binary supports
-//!   it (`figure8`, `table3`, `surrogate_speedup`).
+//!   it (`figure8`, `table3`, `surrogate_speedup`);
+//! * `--out PATH` — where a perf binary writes its `BENCH_*.json`
+//!   artifact (default: the committed file in the working directory).
+//!
+//! The perf binaries also take a bare `--smoke` for CI-sized runs
+//! ([`BinArgs::parse_smoke`]).
 
 use std::collections::HashMap;
 
@@ -45,6 +50,9 @@ pub struct BinArgs {
     /// `--batch K` or the `VLS_BATCH` environment variable. `1` (the
     /// default) keeps the scalar per-trial path.
     pub batch: usize,
+    /// Optional `BENCH_*.json` artifact path; `None` writes the
+    /// committed file name.
+    pub out: Option<String>,
 }
 
 impl Default for BinArgs {
@@ -62,6 +70,7 @@ impl Default for BinArgs {
                 .and_then(|v| v.parse().ok())
                 .filter(|&k| k >= 1)
                 .unwrap_or(1),
+            out: None,
         }
     }
 }
@@ -100,6 +109,7 @@ impl BinArgs {
                     out.jobs = Some(jobs);
                 }
                 "--csv" => out.csv = Some(value),
+                "--out" => out.out = Some(value),
                 "--from-lib" => out.from_lib = Some(value),
                 "--batch" => {
                     let k: usize = value.parse().expect("--batch takes an integer");
@@ -108,11 +118,21 @@ impl BinArgs {
                 }
                 other => panic!(
                     "unknown flag {other}; supported: --trials --seed --step-mv --temp --jobs \
-                     --csv --from-lib --batch"
+                     --csv --from-lib --batch --out"
                 ),
             }
         }
         out
+    }
+
+    /// [`BinArgs::parse`] for the perf binaries, which also take a bare
+    /// `--smoke` flag: returns the parsed flags and whether `--smoke`
+    /// was among them.
+    pub fn parse_smoke(args: impl IntoIterator<Item = String>) -> (Self, bool) {
+        let args: Vec<String> = args.into_iter().collect();
+        let smoke = args.iter().any(|a| a == "--smoke");
+        let rest = args.into_iter().filter(|a| a != "--smoke");
+        (Self::parse(rest), smoke)
     }
 
     /// Characterization options at the selected temperature, with the
@@ -139,6 +159,18 @@ impl BinArgs {
             std::fs::write(path, content).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
             eprintln!("wrote {path}");
         }
+    }
+
+    /// Writes a perf binary's JSON artifact to the `--out` path, or to
+    /// `default` (the committed `BENCH_*.json` name) without one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file cannot be written.
+    pub fn write_artifact(&self, default: &str, json: &str) {
+        let path = self.out.as_deref().unwrap_or(default);
+        std::fs::write(path, json).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
+        println!("wrote {path}");
     }
 }
 
@@ -189,6 +221,16 @@ mod tests {
         let a = BinArgs::parse(strings(&["--from-lib", "/tmp/lib.json"]));
         assert_eq!(a.from_lib.as_deref(), Some("/tmp/lib.json"));
         assert_eq!(BinArgs::default().from_lib, None);
+    }
+
+    #[test]
+    fn parses_smoke_and_the_artifact_path() {
+        let (a, smoke) = BinArgs::parse_smoke(strings(&["--out", "/tmp/b.json", "--smoke"]));
+        assert!(smoke);
+        assert_eq!(a.out.as_deref(), Some("/tmp/b.json"));
+        let (a, smoke) = BinArgs::parse_smoke(strings(&["--jobs", "2"]));
+        assert!(!smoke);
+        assert_eq!(a.out, None);
     }
 
     #[test]

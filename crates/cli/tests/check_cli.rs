@@ -1,5 +1,6 @@
-//! End-to-end exit-code contract of `vls-spice check` — the CI lint
-//! gate. Spawns the real binary via `CARGO_BIN_EXE_vls-spice`.
+//! End-to-end exit-code contract of `vls-spice` — the `check` CI lint
+//! gate and deck parse errors. Spawns the real binary via
+//! `CARGO_BIN_EXE_vls-spice`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -136,6 +137,20 @@ fn baseline_suppresses_known_findings_round_trip() {
     assert!(!stdout.contains("ERC003"), "{stdout}");
     let _ = std::fs::remove_file(deck);
     let _ = std::fs::remove_file(base);
+}
+
+#[test]
+fn non_positive_tran_stop_time_exits_one_without_a_panic() {
+    for (name, tstop) in [("tstop_zero", "0"), ("tstop_negative", "-1n")] {
+        let deck = format!("bad stop time\nV1 a 0 1\nR1 a 0 1k\n.tran 1p {tstop}\n.end\n");
+        let path = deck_file(name, &deck);
+        let out = vls_spice(&[path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), ".tran 1p {tstop}: {stderr}");
+        assert!(stderr.contains("deck line 4"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]

@@ -16,10 +16,12 @@
 //!   Newton-failure retries) uses the *max-LTE lane*, so the accepted
 //!   time grid is a pure function of the lane group — independent of
 //!   worker count and of which shard the group lands on.
-//! * **Lockstep Newton.** All lanes iterate until every lane passes its
-//!   own convergence test in the same iteration; a lane that converges
-//!   early keeps refining (harmless — it only gets closer) so the
-//!   iteration count is group-deterministic.
+//! * **Lockstep Newton.** Every lane starts from its own step predictor
+//!   (`tran::predict`, the scalar stepper's start rule) and all lanes
+//!   iterate until every lane passes its own convergence test in the
+//!   same iteration; a lane that converges early keeps refining
+//!   (harmless — it only gets closer) so the iteration count is
+//!   group-deterministic.
 //! * **Pivot divergence is never wrong.** A lane whose values trip the
 //!   shared pivot-health check re-pivots privately inside [`MultiLu`];
 //!   only an unsalvageable lane fails the whole batch, and the caller
@@ -43,7 +45,7 @@ use vls_num::{weighted_converged, CscMatrix, MultiLu, SolverStats, TripletMatrix
 use crate::dc::{solve_dc_at, NewtonFailure};
 use crate::kernel::PatternScatter;
 use crate::mna::{CompanionCap, Mna, StampCtx};
-use crate::tran::TransientResult;
+use crate::tran::{check_tstop, predict, TransientResult};
 use crate::{EngineError, SimOptions};
 
 /// Integration damping, identical to the scalar transient core.
@@ -55,8 +57,9 @@ const THETA: f64 = 0.55;
 /// The per-lane [`TransientResult`]s carry zeroed solver stats — the
 /// lockstep loop's work is not attributable to a single lane, so the
 /// batch books it once in [`BatchTransient::stats`] (where
-/// `device_evals` counts *lane*-evaluations, K per batched call, to
-/// stay comparable with the scalar kernel's accounting).
+/// `device_evals`, `newton_iters` and the step counters count
+/// *lane*-work, K per lockstep event, to stay comparable with the
+/// scalar kernel's accounting).
 #[derive(Debug)]
 pub struct BatchTransient {
     /// One sampled result per lane, in input order.
@@ -112,26 +115,23 @@ struct LaneState {
 ///
 /// # Errors
 ///
-/// Propagates per-lane DC failures and reports
+/// Reports [`EngineError::BadNetlist`] when `tstop` is not strictly
+/// positive and finite, propagates per-lane DC failures and reports
 /// [`EngineError::StepUnderflow`]/[`EngineError::BudgetExhausted`] from
 /// the shared stepping loop. Any error fails the whole batch — the
 /// caller de-batches failing groups onto the scalar resilient path.
 ///
 /// # Panics
 ///
-/// Panics if `circuits` is empty, `tstop` is not positive and finite,
-/// or the circuits are not structurally identical (element count, node
-/// count, element names — perturbations may only change MOSFET
-/// parameters).
+/// Panics if `circuits` is empty or the circuits are not structurally
+/// identical (element count, node count, element names — perturbations
+/// may only change MOSFET parameters).
 pub fn run_transient_batched(
     circuits: &[Circuit],
     tstop: f64,
     options: &SimOptions,
 ) -> Result<BatchTransient, EngineError> {
-    assert!(
-        tstop > 0.0 && tstop.is_finite(),
-        "tstop must be positive, got {tstop}"
-    );
+    check_tstop(tstop)?;
     assert!(!circuits.is_empty(), "batched transient needs >= 1 lane");
     let k_lanes = circuits.len();
     let base = &circuits[0];
@@ -294,6 +294,7 @@ pub fn run_transient_batched(
         map,
         lane_vals: vec![vec![0.0; nnz]; k_lanes],
         b_all: vec![0.0; n * k_lanes],
+        pred_all: vec![0.0; n * k_lanes],
         x_all: vec![0.0; n * k_lanes],
         x_new_all: vec![0.0; n * k_lanes],
         delta: vec![0.0; n],
@@ -416,9 +417,17 @@ pub fn run_transient_batched(
                     });
                 }
             }
+            for (lane, state) in lanes_state.iter().enumerate() {
+                let history = have_history.then_some((state.x_prevprev.as_slice(), h_prev));
+                predict(
+                    &state.x,
+                    history,
+                    h_now,
+                    &mut kernel.pred_all[lane * n..(lane + 1) * n],
+                );
+            }
             let solved = kernel.solve(
                 &mna,
-                &lanes_state,
                 &mos_refs,
                 &mos_slot,
                 t + h_now,
@@ -431,6 +440,7 @@ pub fn run_transient_batched(
                 Ok(()) => {
                     if faults.fire_lte() {
                         // Injected LTE rejection of the *shared* step.
+                        stats.rejected_steps += k_lanes as u64;
                         h_now /= 4.0;
                         lands_on_bp = false;
                         continue;
@@ -439,19 +449,16 @@ pub fn run_transient_batched(
                     // shared grid follows the worst lane, so the result
                     // never depends on how trials were packed.
                     let mut err_ratio = 0.0f64;
-                    for (lane, state) in lanes_state.iter().enumerate() {
-                        let x_new = &kernel.x_all[lane * n..(lane + 1) * n];
-                        for (i, &xn) in x_new.iter().take(nvu).enumerate() {
-                            let pred = if have_history && h_prev > 0.0 {
-                                state.x[i] + (state.x[i] - state.x_prevprev[i]) * (h_now / h_prev)
-                            } else {
-                                state.x[i]
-                            };
+                    for lane in 0..k_lanes {
+                        let x_new = &kernel.x_all[lane * n..lane * n + nvu];
+                        let pred = &kernel.pred_all[lane * n..lane * n + nvu];
+                        for (&xn, &p) in x_new.iter().zip(pred) {
                             let tol = options.lte_tol + options.reltol * xn.abs();
-                            err_ratio = err_ratio.max((xn - pred).abs() / tol);
+                            err_ratio = err_ratio.max((xn - p).abs() / tol);
                         }
                     }
                     if err_ratio > 16.0 && h_now > options.min_step * 64.0 {
+                        stats.rejected_steps += k_lanes as u64;
                         h_now /= 4.0;
                         lands_on_bp = false;
                         continue;
@@ -459,6 +466,7 @@ pub fn run_transient_batched(
                     break err_ratio;
                 }
                 Err(_) => {
+                    stats.rejected_steps += k_lanes as u64;
                     h_now /= 8.0;
                     lands_on_bp = false;
                     use_trap = false;
@@ -467,6 +475,7 @@ pub fn run_transient_batched(
             }
         };
         let err_ratio = accepted;
+        stats.tran_steps += k_lanes as u64;
 
         // Accept: per-lane dynamic state, history, samples.
         for (lane, state) in lanes_state.iter_mut().enumerate() {
@@ -530,6 +539,9 @@ struct LockstepNewton {
     lane_vals: Vec<Vec<f64>>,
     /// Lane-contiguous right-hand sides (`lane * n ..`).
     b_all: Vec<f64>,
+    /// Lane-contiguous step predictors: each lane's Newton start and
+    /// the point its LTE is measured against.
+    pred_all: Vec<f64>,
     /// Lane-contiguous Newton iterates; holds the converged solutions
     /// after a successful solve.
     x_all: Vec<f64>,
@@ -555,15 +567,14 @@ struct LockstepNewton {
 }
 
 impl LockstepNewton {
-    /// One lockstep Newton solve: every lane starts from its last
-    /// accepted solution and iterates until **all** lanes pass their own
-    /// convergence test in the same iteration. On success the converged
-    /// solutions are in `x_all`, lane-contiguous.
+    /// One lockstep Newton solve: every lane starts from its step
+    /// predictor in `pred_all` and iterates until **all** lanes pass
+    /// their own convergence test in the same iteration. On success the
+    /// converged solutions are in `x_all`, lane-contiguous.
     #[allow(clippy::too_many_arguments)]
     fn solve(
         &mut self,
         mna: &Mna<'_>,
-        lanes_state: &[LaneState],
         mos_refs: &[MosRef],
         mos_slot: &[Option<usize>],
         time: f64,
@@ -576,9 +587,7 @@ impl LockstepNewton {
         let n = mna.n_unknowns;
         let nvu = mna.node_unknowns();
         let temp_k = options.temperature.as_kelvin();
-        for (lane, state) in lanes_state.iter().enumerate() {
-            self.x_all[lane * n..(lane + 1) * n].copy_from_slice(&state.x);
-        }
+        self.x_all.copy_from_slice(&self.pred_all);
 
         for _iter in 1..=options.max_newton_iters {
             stats.newton_iters += k_lanes as u64;
@@ -838,6 +847,9 @@ mod tests {
         assert_eq!(s.device_bypasses, 0);
         assert_eq!(s.device_evals, 2 * s.newton_iters, "2 MOSFETs per lane");
         assert!(s.linear_solves > 0 && s.refactorizations > 0);
+        let shared_steps = (batch.lanes[0].len() - 1) as u64;
+        assert_eq!(s.tran_steps, 4 * shared_steps, "lane-steps, K per step");
+        assert_eq!(s.rejected_steps % 4, 0, "K per shared rejection");
         // Per-lane results carry no stats of their own — the batch owns
         // the pooled counters, so absorbing both would double count.
         for lane in &batch.lanes {

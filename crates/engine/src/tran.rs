@@ -4,11 +4,13 @@
 //! Reactive elements (explicit capacitors and the Meyer capacitances of
 //! every MOSFET) are replaced at each time step by companion models
 //! `i = geq·v − ieq`; the resulting resistive network is solved by the
-//! same damped Newton iteration as the DC analysis, warm-started from
-//! the previous time point. The step size adapts to hold the
-//! disagreement between the predictor (polynomial extrapolation) and
-//! the corrector below `SimOptions::lte_tol`; steps are forced to land
-//! on every source breakpoint so input edges are never straddled.
+//! same damped Newton iteration as the DC analysis, started from the
+//! step predictor ([`predict`]: linear extrapolation through the last
+//! two accepted points, or the last point itself after DC, UIC or a
+//! breakpoint). The step size adapts to hold the disagreement between
+//! that predictor and the corrector below `SimOptions::lte_tol`; steps
+//! are forced to land on every source breakpoint so input edges are
+//! never straddled.
 //!
 //! Integration uses a θ-damped trapezoid (θ = 0.55): plain trapezoidal
 //! integration is only marginally stable and lets capacitor-current
@@ -122,6 +124,24 @@ impl TransientResult {
 /// Euler. 0.55 decays plateau ringing while staying near second order.
 const THETA: f64 = 0.55;
 
+/// The step predictor, written into `out`: the linear extrapolation
+/// over a step of `h` through the last two accepted points —
+/// `history` is the point before `x` with the step that led from it
+/// to `x` — or `x` itself when there is no usable history (after DC,
+/// UIC or a breakpoint). Every transient stepper starts Newton from
+/// this vector and measures its LTE against it.
+pub(crate) fn predict(x: &[f64], history: Option<(&[f64], f64)>, h: f64, out: &mut [f64]) {
+    match history {
+        Some((x_prev, h_prev)) if h_prev > 0.0 => {
+            let ratio = h / h_prev;
+            for ((o, &xi), &xp) in out.iter_mut().zip(x).zip(x_prev) {
+                *o = xi + (xi - xp) * ratio;
+            }
+        }
+        _ => out.copy_from_slice(x),
+    }
+}
+
 /// One dynamic (capacitive) branch tracked across steps.
 struct DynamicCap {
     a: Option<usize>,
@@ -150,22 +170,16 @@ struct MosCapsRef {
 ///
 /// # Errors
 ///
-/// Propagates DC failures, and reports
+/// Reports [`EngineError::BadNetlist`] when `tstop` is not strictly
+/// positive and finite, propagates DC failures, and reports
 /// [`EngineError::StepUnderflow`] when Newton cannot converge even at
 /// the minimum step size.
-///
-/// # Panics
-///
-/// Panics if `tstop` is not strictly positive and finite.
 pub fn run_transient(
     circuit: &Circuit,
     tstop: f64,
     options: &SimOptions,
 ) -> Result<TransientResult, EngineError> {
-    assert!(
-        tstop > 0.0 && tstop.is_finite(),
-        "tstop must be positive, got {tstop}"
-    );
+    check_tstop(tstop)?;
     let dc: DcSolution = solve_dc_at(circuit, options, 0.0)?;
     let dc_stats = dc.solver_stats();
     transient_from_state(circuit, tstop, options, dc.unknowns().to_vec(), dc_stats)
@@ -180,20 +194,13 @@ pub fn run_transient(
 /// # Errors
 ///
 /// As [`run_transient`], minus the DC stage (which UIC skips).
-///
-/// # Panics
-///
-/// Panics if `tstop` is not strictly positive and finite.
 pub fn run_transient_uic(
     circuit: &Circuit,
     tstop: f64,
     options: &SimOptions,
     ics: &[(NodeId, f64)],
 ) -> Result<TransientResult, EngineError> {
-    assert!(
-        tstop > 0.0 && tstop.is_finite(),
-        "tstop must be positive, got {tstop}"
-    );
+    check_tstop(tstop)?;
     crate::preflight(circuit, options)?;
     let mna = Mna::new(circuit);
     let mut x0 = vec![0.0; mna.n_unknowns];
@@ -203,6 +210,17 @@ pub fn run_transient_uic(
         }
     }
     transient_from_state(circuit, tstop, options, x0, SolverStats::default())
+}
+
+/// Refuses a stop time that is not strictly positive and finite.
+pub(crate) fn check_tstop(tstop: f64) -> Result<(), EngineError> {
+    if tstop > 0.0 && tstop.is_finite() {
+        Ok(())
+    } else {
+        Err(EngineError::BadNetlist(format!(
+            "transient stop time must be positive and finite, got {tstop}"
+        )))
+    }
 }
 
 /// The stepping core shared by the DC-initialized and UIC entry
@@ -326,6 +344,8 @@ fn transient_from_state(
     let mut samples = vec![x.clone()];
     // History for the predictor.
     let mut x_prevprev: Option<(Vec<f64>, f64)> = None; // (solution, h of last step)
+    let mut pred = vec![0.0; x.len()];
+    let mut rejected_steps: u64 = 0;
 
     let mut companions: Vec<CompanionCap> = Vec::with_capacity(caps.len());
 
@@ -436,9 +456,13 @@ fn transient_from_state(
                 temp_k,
                 reactive: Some(&companions),
             };
+            // Newton starts from the predictor, which is also what the
+            // LTE test below measures the converged point against.
+            let history = x_prevprev.as_ref().map(|(xp, hp)| (xp.as_slice(), *hp));
+            predict(&x, history, h_now, &mut pred);
             let solved = match kernel.as_mut() {
-                Some(k) => k.solve(&x, &ctx, options, &mut faults),
-                None => newton_solve(&mna, &x, &ctx, options, &mut legacy_stats),
+                Some(k) => k.solve(&pred, &ctx, options, &mut faults),
+                None => newton_solve(&mna, &pred, &ctx, options, &mut legacy_stats),
             };
             match solved {
                 Ok((x_new, _iters)) => {
@@ -446,25 +470,21 @@ fn transient_from_state(
                         // Injected LTE rejection: discard the converged
                         // solution and quarter the step, exactly as a
                         // real predictor disagreement below would.
+                        rejected_steps += 1;
                         h_now /= 4.0;
                         lands_on_bp = false;
                         continue;
                     }
-                    // Predictor for LTE: linear extrapolation through the
-                    // two previous points (zero-order on the first step).
                     let nvu = mna.node_unknowns();
                     let mut err_ratio = 0.0f64;
-                    for i in 0..nvu {
-                        let pred = match &x_prevprev {
-                            Some((xp, hp)) if *hp > 0.0 => x[i] + (x[i] - xp[i]) * (h_now / hp),
-                            _ => x[i],
-                        };
-                        let tol = options.lte_tol + options.reltol * x_new[i].abs();
-                        err_ratio = err_ratio.max((x_new[i] - pred).abs() / tol);
+                    for (&xn, &p) in x_new[..nvu].iter().zip(&pred) {
+                        let tol = options.lte_tol + options.reltol * xn.abs();
+                        err_ratio = err_ratio.max((xn - p).abs() / tol);
                     }
                     // Reject wildly inaccurate steps (unless pinned to a
                     // breakpoint edge at minimum size already).
                     if err_ratio > 16.0 && h_now > options.min_step * 64.0 {
+                        rejected_steps += 1;
                         h_now /= 4.0;
                         lands_on_bp = false;
                         continue;
@@ -472,6 +492,7 @@ fn transient_from_state(
                     break Some((x_new, err_ratio));
                 }
                 Err(_) => {
+                    rejected_steps += 1;
                     h_now /= 8.0;
                     lands_on_bp = false;
                     use_trap = false; // BE is more robust
@@ -521,6 +542,8 @@ fn transient_from_state(
         None => stats.merge(&legacy_stats),
     }
     stats.injected_faults += faults.fired();
+    stats.tran_steps += (times.len() - 1) as u64;
+    stats.rejected_steps += rejected_steps;
     Ok(TransientResult {
         times,
         samples,
@@ -862,12 +885,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tstop must be positive")]
-    fn zero_tstop_panics() {
+    fn step_counters_book_accepted_and_rejected_steps() {
+        let mut c = Circuit::new();
+        let inp = c.node("in");
+        let out = c.node("out");
+        let step = SourceWaveform::step(0.0, 1.0, 0.1e-9, 1e-12);
+        c.add_vsource("vin", inp, Circuit::GROUND, step);
+        c.add_resistor("r1", inp, out, 1000.0);
+        c.add_capacitor("c1", out, Circuit::GROUND, 1e-12);
+        let clean = run_transient(&c, 2e-9, &opts()).unwrap().solver_stats();
+        // The 1 ps input edge costs two real LTE rejections.
+        assert_eq!(clean.rejected_steps, 2, "{}", clean.render());
+        // Three injected LTE rejections come on top of them.
+        let storm = SimOptions {
+            fault: vls_fault::FaultPlan::parse("lte:count=3").unwrap().arm(0),
+            ..opts()
+        };
+        let stormed = run_transient(&c, 2e-9, &storm).unwrap();
+        let s = stormed.solver_stats();
+        assert_eq!(s.tran_steps, (stormed.len() - 1) as u64);
+        assert_eq!(s.rejected_steps, clean.rejected_steps + 3, "{}", s.render());
+        assert_eq!(s.injected_faults, 3);
+    }
+
+    #[test]
+    fn non_positive_tstop_is_a_typed_error() {
         let mut c = Circuit::new();
         let a = c.node("a");
         c.add_vsource("v", a, Circuit::GROUND, SourceWaveform::Dc(1.0));
         c.add_resistor("r", a, Circuit::GROUND, 1000.0);
-        let _ = run_transient(&c, 0.0, &opts());
+        let refused = |r: Result<(), EngineError>| match r {
+            Err(EngineError::BadNetlist(m)) => m.contains("stop time"),
+            _ => false,
+        };
+        for tstop in [0.0, -1e-9, f64::NAN, f64::INFINITY] {
+            let scalar = run_transient(&c, tstop, &opts()).map(drop);
+            let uic = run_transient_uic(&c, tstop, &opts(), &[]).map(drop);
+            let lanes = crate::run_transient_batched(&[c.clone()], tstop, &opts()).map(drop);
+            assert!(refused(scalar) && refused(uic) && refused(lanes), "{tstop}");
+        }
     }
 }

@@ -718,10 +718,15 @@ pub fn parse_deck(text: &str) -> Result<Deck, ParseDeckError> {
                     if l.tokens.len() < 3 {
                         return Err(Parser::err(line_no, ".tran needs tstep and tstop"));
                     }
-                    analyses.push(AnalysisCard::Tran {
-                        tstep: Parser::value(line_no, &l.tokens[1])?,
-                        tstop: Parser::value(line_no, &l.tokens[2])?,
-                    });
+                    let tstep = Parser::value(line_no, &l.tokens[1])?;
+                    let tstop = Parser::value(line_no, &l.tokens[2])?;
+                    if !(tstop > 0.0 && tstop.is_finite()) {
+                        return Err(Parser::err(
+                            line_no,
+                            format!(".tran stop time must be positive and finite, got {tstop}"),
+                        ));
+                    }
+                    analyses.push(AnalysisCard::Tran { tstep, tstop });
                 }
                 ".op" => analyses.push(AnalysisCard::Op),
                 ".dc" => {
@@ -933,6 +938,16 @@ Cload c 0 2fF
 
         let err = parse_deck("title\n.subckt foo a\nR1 a 0 1k\n.end\n").unwrap_err();
         assert!(err.message.contains("unterminated .subckt"));
+    }
+
+    #[test]
+    fn non_positive_tran_stop_time_is_rejected() {
+        for tstop in ["0", "-1n", "1e400"] {
+            let deck = format!("t\nV1 a 0 1\nR1 a 0 1k\n.tran 1p {tstop}\n.end\n");
+            let err = parse_deck(&deck).unwrap_err();
+            assert_eq!(err.line, 4, ".tran 1p {tstop}");
+            assert!(err.message.contains("stop time"), "{}", err.message);
+        }
     }
 
     #[test]

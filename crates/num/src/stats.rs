@@ -31,6 +31,11 @@ pub struct SolverStats {
     pub cap_evals: u64,
     /// Meyer capacitance evaluations served from the bypass cache.
     pub cap_bypasses: u64,
+    /// Accepted transient time steps.
+    pub tran_steps: u64,
+    /// Rejected transient step attempts: LTE rejections (real or
+    /// injected) and Newton failures, each retried at a smaller step.
+    pub rejected_steps: u64,
     /// Faults injected into this solve by an armed fault plan. Zero in
     /// every production run; a nonzero value marks the counters above
     /// as describing a deliberately perturbed trajectory.
@@ -50,6 +55,8 @@ impl SolverStats {
         self.device_bypasses += other.device_bypasses;
         self.cap_evals += other.cap_evals;
         self.cap_bypasses += other.cap_bypasses;
+        self.tran_steps += other.tran_steps;
+        self.rejected_steps += other.rejected_steps;
         self.injected_faults += other.injected_faults;
     }
 
@@ -85,7 +92,8 @@ impl SolverStats {
     pub fn render(&self) -> String {
         let mut line = format!(
             "newton {} iters, {} solves; factorizations {} full / {} refactor ({} fallback); \
-             device evals {} ({} bypassed, {:.1}%); cap evals {} ({} bypassed)",
+             device evals {} ({} bypassed, {:.1}%); cap evals {} ({} bypassed); \
+             steps {} accepted / {} rejected",
             self.newton_iters,
             self.linear_solves,
             self.full_factorizations,
@@ -96,6 +104,8 @@ impl SolverStats {
             100.0 * self.bypass_rate(),
             self.cap_evals,
             self.cap_bypasses,
+            self.tran_steps,
+            self.rejected_steps,
         );
         if self.injected_faults > 0 {
             line.push_str(&format!("; {} injected faults", self.injected_faults));
@@ -120,13 +130,18 @@ mod tests {
             device_bypasses: 7,
             cap_evals: 8,
             cap_bypasses: 9,
+            tran_steps: 11,
+            rejected_steps: 12,
             injected_faults: 10,
         };
         a.merge(&a.clone());
         assert_eq!(a.newton_iters, 2);
         assert_eq!(a.cap_bypasses, 18);
+        assert_eq!(a.tran_steps, 22);
+        assert_eq!(a.rejected_steps, 24);
         assert_eq!(a.injected_faults, 20);
         assert!(a.render().contains("20 injected faults"));
+        assert!(a.render().contains("steps 22 accepted / 24 rejected"));
         assert!(!a.is_empty());
         assert!(SolverStats::default().is_empty());
     }

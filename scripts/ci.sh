@@ -49,13 +49,16 @@ cargo test -q --test charlib_surrogate --test charlib_golden --test charlib_arti
 # hold on one worker and at default parallelism (the kernel is pure
 # per-circuit state, so sharding must not change a single bit), then
 # the release-mode speedup bench enforces its ≥2x floor on the SoC
-# mesh with smoke-sized workloads and refreshes BENCH_newton.json.
+# mesh with smoke-sized workloads. Every smoke bench below writes its
+# JSON into the CI temp directory, so the committed full-mode
+# BENCH_*.json artifacts stay as they are.
 echo "==> cargo test (newton kernel equivalence, VLS_JOBS=1 and default jobs)"
 VLS_JOBS=1 cargo test -q --test newton_kernel
 cargo test -q --test newton_kernel
 
 echo "==> newton_speedup --smoke (release, 2x floor enforced)"
-cargo run -q --release -p vls-bench --bin newton_speedup -- --smoke
+cargo run -q --release -p vls-bench --bin newton_speedup -- \
+    --smoke --out "$CHARLIB_TMP/newton_smoke.json"
 
 # The fault leg: the soak suite (256-trial injected-fault ensemble,
 # taxonomy/replay determinism, counter invariants, fuzzed
@@ -96,7 +99,7 @@ cargo run -q --release -p vls-cli --bin vls-spice -- \
 # surface and must stay warning-free on its own), the chip-scale smoke
 # benchmark (clean 60/240-instance floorplans, worker-count byte
 # identity, 1.5x hierarchical speedup floor, all five MSV rules on the
-# mutated chip, refreshes BENCH_check.json), then a CLI baseline
+# mutated chip), then a CLI baseline
 # round-trip: record the fingerprints of a known-bad deck (exit 1),
 # re-check against the recording and the gate must pass with the
 # findings suppressed.
@@ -104,7 +107,8 @@ echo "==> cargo clippy -p vls-check (deny warnings)"
 cargo clippy -p vls-check --all-targets -- -D warnings
 
 echo "==> check_scale --smoke (release, speedup floor + baseline round trip)"
-cargo run -q --release -p vls-bench --bin check_scale -- --smoke
+cargo run -q --release -p vls-bench --bin check_scale -- \
+    --smoke --out "$CHARLIB_TMP/check_smoke.json"
 
 echo "==> vls-spice check baseline round trip"
 CHECK_DECK="$CHARLIB_TMP/check_baseline.sp"
@@ -172,7 +176,7 @@ grep -q "clean shutdown" "$SERVE_LOG"
 # bit-identical either way), then the release-mode convergence bench
 # with smoke sizing: it enforces the evaluation budget, the accepted
 # optimum's surrogate-vs-exact gap tolerance and the 50x per-eval
-# speedup floor, and refreshes BENCH_opt.json.
+# speedup floor.
 echo "==> cargo clippy -p vls-opt (deny warnings)"
 cargo clippy -p vls-opt --all-targets -- -D warnings
 
@@ -181,21 +185,22 @@ VLS_JOBS=1 cargo test -q --test opt_regression
 cargo test -q --test opt_regression
 
 echo "==> opt_convergence --smoke (release, budget + gap + 50x floors enforced)"
-cargo run -q --release -p vls-bench --bin opt_convergence -- --smoke
+cargo run -q --release -p vls-bench --bin opt_convergence -- \
+    --smoke --out "$CHARLIB_TMP/opt_smoke.json"
 
 # The batched-MC leg: the lockstep lane suite on one worker and at
 # default parallelism (group composition depends only on (trials, K),
 # so the worker grid must be bit-identical), then the release-mode
 # lane-scaling bench: K=1 must match the scalar featured path
 # statistic for statistic, cross-K statistics must hold inside the
-# shared-grid band, and the ≥2x floor is enforced at K>=8 (refreshes
-# BENCH_mc_batched.json).
+# shared-grid band, and the ≥2x floor is enforced at K>=8.
 echo "==> cargo test (batched MC, VLS_JOBS=1 and default jobs)"
 VLS_JOBS=1 cargo test -q --test mc_batched
 cargo test -q --test mc_batched
 
 echo "==> mc_batched --smoke (release, 2x floor at K>=8 enforced)"
-cargo run -q --release -p vls-bench --bin mc_batched -- --smoke
+cargo run -q --release -p vls-bench --bin mc_batched -- \
+    --smoke --out "$CHARLIB_TMP/mc_batched_smoke.json"
 
 # The structured-solve leg: clippy scoped to the numerics crate (the
 # ordering and Schur machinery live there and must stay warning-free
@@ -203,7 +208,7 @@ cargo run -q --release -p vls-bench --bin mc_batched -- --smoke
 # parallelism (island solves must be bit-identical at any worker
 # count), then the release-mode scaling smoke: flat-LU baseline vs
 # island hot path with the 1.5x floor at 400 unknowns, engine-leg
-# DC + transient through the Islands path, refreshes BENCH_solve.json.
+# DC + transient through the Islands path.
 echo "==> cargo clippy -p vls-num (deny warnings)"
 cargo clippy -p vls-num --all-targets -- -D warnings
 
@@ -212,7 +217,8 @@ VLS_JOBS=1 cargo test -q --test solve_scale
 cargo test -q --test solve_scale
 
 echo "==> solve_scale --smoke (release, speedup floor + engine leg enforced)"
-cargo run -q --release -p vls-bench --bin solve_scale -- --smoke
+cargo run -q --release -p vls-bench --bin solve_scale -- \
+    --smoke --out "$CHARLIB_TMP/solve_smoke.json"
 
 echo "==> cargo test --release"
 cargo test -q --release

@@ -29,108 +29,108 @@ const GOLDEN: [(f64, f64, [f64; 6]); 9] = [
         0.8,
         0.8,
         [
-            2.02424751651869420e-10,
-            7.58300861756552630e-11,
-            2.40133862598721608e-6,
-            1.94487805674943847e-6,
-            3.79595010673423416e-10,
-            3.24618847631073537e-10,
+            2.02424751618818592e-10,
+            7.58300861534438092e-11,
+            2.40133862588543490e-6,
+            1.94487805702706538e-6,
+            3.79595010694572873e-10,
+            3.24618892118490385e-10,
         ],
     ),
     (
         0.8,
         1.0,
         [
-            1.65311464971121401e-10,
-            9.04004588215228122e-11,
-            3.47114316873514963e-6,
-            2.46922718193898878e-6,
-            6.19105900331948491e-10,
-            1.61280307031554074e-9,
+            1.65311464921017417e-10,
+            9.04004588187070894e-11,
+            3.47114316885337383e-6,
+            2.46922718202733898e-6,
+            6.19105900026538830e-10,
+            1.61280158209450657e-9,
         ],
     ),
     (
         0.8,
         1.2,
         [
-            1.83311986441324490e-10,
-            1.23415405702381885e-10,
-            5.31282738944792830e-6,
-            4.25593057944058954e-6,
-            1.01175149940121720e-9,
-            2.66647613271491266e-9,
+            1.83311986440520471e-10,
+            1.23415405706739473e-10,
+            5.31282739214215206e-6,
+            4.25593057986421867e-6,
+            1.01175149930094719e-9,
+            2.66647342431009503e-9,
         ],
     ),
     (
         1.0,
         0.8,
         [
-            1.51939067280376958e-10,
-            4.28984320373898575e-11,
-            2.79862564564709288e-6,
-            2.68118655891262591e-6,
-            3.79597421225985165e-10,
-            4.32240393540054808e-10,
+            1.51939067156253544e-10,
+            4.28984320209653593e-11,
+            2.79862564523053690e-6,
+            2.68118655580155436e-6,
+            3.79597421095406434e-10,
+            4.32240627253936724e-10,
         ],
     ),
     (
         1.0,
         1.0,
         [
-            1.12185058569536424e-10,
-            4.94678160596416520e-11,
-            3.79402103411814275e-6,
-            3.13555194287412704e-6,
-            6.19109145636944955e-10,
-            4.29398362239802978e-10,
+            1.12185058463435621e-10,
+            4.94678160556414066e-11,
+            3.79402103374410444e-6,
+            3.13555194206623718e-6,
+            6.19109145788450736e-10,
+            4.29398407784625585e-10,
         ],
     ),
     (
         1.0,
         1.2,
         [
-            9.55268589487428306e-11,
-            5.86040074124947341e-11,
-            5.11739806232711341e-6,
-            3.92068011438648596e-6,
-            1.01175609217227801e-9,
-            2.48124117086677656e-9,
+            9.55268589321992184e-11,
+            5.86040074105723664e-11,
+            5.11739806240696913e-6,
+            3.92068011399409795e-6,
+            1.01175609169591731e-9,
+            2.48123841008381051e-9,
         ],
     ),
     (
         1.2,
         0.8,
         [
-            1.15193657420135402e-10,
-            2.83618499832866747e-11,
-            3.30709102689775107e-6,
-            3.61195181692623986e-6,
-            3.79605233568436633e-10,
-            9.64365983285873582e-10,
+            1.15193657417203873e-10,
+            2.83618499836638691e-11,
+            3.30709102685639046e-6,
+            3.61195181690459732e-6,
+            3.79605233489923751e-10,
+            9.64365740744758989e-10,
         ],
     ),
     (
         1.2,
         1.0,
         [
-            9.44466877371623993e-11,
-            3.27736734160364096e-11,
-            4.30962074382203591e-6,
-            4.08234076557666790e-6,
-            6.19116909674559349e-10,
-            4.68115501908154346e-10,
+            9.44466876343008357e-11,
+            3.27736734151695243e-11,
+            4.30962074368284214e-6,
+            4.08234076522384903e-6,
+            6.19116909258355566e-10,
+            4.68115613286996468e-10,
         ],
     ),
     (
         1.2,
         1.2,
         [
-            7.79419945007945738e-11,
-            3.71129766262798973e-11,
-            5.58377732566888712e-6,
-            4.70006309636186356e-6,
-            1.01176787957365579e-9,
-            5.07379476284961490e-10,
+            7.79419943800626003e-11,
+            3.71129766205524988e-11,
+            5.58377732539363953e-6,
+            4.70006309528035241e-6,
+            1.01176787970248669e-9,
+            5.07379535293860210e-10,
         ],
     ),
 ];

@@ -43,33 +43,33 @@ fn golden_64_run_mc_at_27c() {
     assert_pinned(
         "delay_rise.mean",
         s.delay_rise.mean,
-        1.86332423704375234e-10,
+        1.86332423701151970e-10,
     );
-    assert_pinned("delay_rise.std", s.delay_rise.std, 1.26939286738307324e-11);
+    assert_pinned("delay_rise.std", s.delay_rise.std, 1.26939286735919002e-11);
     assert_pinned(
         "delay_fall.mean",
         s.delay_fall.mean,
-        1.24873391686914617e-10,
+        1.24873391710470085e-10,
     );
-    assert_pinned("delay_fall.std", s.delay_fall.std, 4.92004493025831134e-12);
+    assert_pinned("delay_fall.std", s.delay_fall.std, 4.92004492395807244e-12);
     assert_pinned(
         "leakage_high.mean",
         s.leakage_high.mean,
-        1.10494775640160525e-9,
+        1.10494775644731918e-9,
     );
     assert_pinned(
         "leakage_high.std",
         s.leakage_high.std,
-        2.51197229265138107e-10,
+        2.51197229255036164e-10,
     );
     assert_pinned(
         "leakage_low.mean",
         s.leakage_low.mean,
-        2.87245180993220008e-9,
+        2.87244913312672244e-9,
     );
     assert_pinned(
         "leakage_low.std",
         s.leakage_low.std,
-        9.72886870593516413e-10,
+        9.72885996771747649e-10,
     );
 }

@@ -102,6 +102,21 @@ fn symbolic_kernel_is_bit_identical_to_legacy_on_all_six_cells() {
             "{}: kernels accepted different step sequences",
             kind.label()
         );
+        // Newton starts each step from the predictor, so the corrector
+        // needs about two iterations per accepted step (a start from the
+        // last accepted point needs 2.5-2.9), and no step is rejected.
+        for (arm, res) in [("legacy", &legacy), ("symbolic", &symbolic)] {
+            let stats = res.solver_stats();
+            let steps = (res.len() - 1) as u64;
+            assert_eq!(stats.tran_steps, steps, "{} {arm}", kind.label());
+            assert_eq!(stats.rejected_steps, 0, "{} {arm}", kind.label());
+            let per_step = stats.newton_iters as f64 / steps as f64;
+            assert!(
+                per_step <= 2.2,
+                "{} {arm}: {per_step:.3} Newton iterations per accepted step",
+                kind.label()
+            );
+        }
         for probe in [h.input, h.output] {
             let a = legacy.node_series(probe);
             let b = symbolic.node_series(probe);
