@@ -11,8 +11,9 @@
 //!    (frozen pivots make the sparse arithmetic equivalent, not
 //!    bit-identical);
 //! 3. a 64-run Monte Carlo ensemble of full characterizations, timed
-//!    with both kernels and reported through [`RunReport`]'s
-//!    aggregated [`SolverStats`].
+//!    with both kernels and reported through
+//!    [`RunReport`](vls_runner::RunReport)'s aggregated
+//!    [`SolverStats`](vls_engine::SolverStats).
 //!
 //! Writes the `BENCH_newton.json` perf-trajectory artifact (or `--out PATH`).
 //!

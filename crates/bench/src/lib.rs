@@ -46,10 +46,6 @@ pub struct BinArgs {
     pub csv: Option<String>,
     /// Optional prebuilt characterization-library artifact path.
     pub from_lib: Option<String>,
-    /// Monte Carlo lane width K for the lockstep batched path;
-    /// `--batch K` or the `VLS_BATCH` environment variable. `1` (the
-    /// default) keeps the scalar per-trial path.
-    pub batch: usize,
     /// Optional `BENCH_*.json` artifact path; `None` writes the
     /// committed file name.
     pub out: Option<String>,
@@ -65,11 +61,6 @@ impl Default for BinArgs {
             jobs: None,
             csv: None,
             from_lib: None,
-            batch: std::env::var("VLS_BATCH")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&k| k >= 1)
-                .unwrap_or(1),
             out: None,
         }
     }
@@ -111,14 +102,9 @@ impl BinArgs {
                 "--csv" => out.csv = Some(value),
                 "--out" => out.out = Some(value),
                 "--from-lib" => out.from_lib = Some(value),
-                "--batch" => {
-                    let k: usize = value.parse().expect("--batch takes an integer");
-                    assert!(k >= 1, "--batch must be at least 1");
-                    out.batch = k;
-                }
                 other => panic!(
                     "unknown flag {other}; supported: --trials --seed --step-mv --temp --jobs \
-                     --csv --from-lib --batch --out"
+                     --csv --from-lib --out"
                 ),
             }
         }
@@ -135,12 +121,9 @@ impl BinArgs {
         (Self::parse(rest), smoke)
     }
 
-    /// Characterization options at the selected temperature, with the
-    /// Monte Carlo lane width from `--batch`/`VLS_BATCH` applied.
+    /// Characterization options at the selected temperature.
     pub fn options(&self) -> CharacterizeOptions {
-        let mut o = CharacterizeOptions::at_celsius(self.temp_celsius);
-        o.sim.batch_lanes = self.batch;
-        o
+        CharacterizeOptions::at_celsius(self.temp_celsius)
     }
 
     /// Runner configuration from `--jobs` (default: all cores).
@@ -231,13 +214,6 @@ mod tests {
         let (a, smoke) = BinArgs::parse_smoke(strings(&["--jobs", "2"]));
         assert!(!smoke);
         assert_eq!(a.out, None);
-    }
-
-    #[test]
-    fn parses_batch_lane_width() {
-        let a = BinArgs::parse(strings(&["--batch", "8"]));
-        assert_eq!(a.batch, 8);
-        assert_eq!(a.options().sim.batch_lanes, 8);
     }
 
     #[test]

@@ -18,7 +18,7 @@ const TARGET_SAMPLE_SECS: f64 = 5e-3;
 /// Times `f` and prints `name` with per-iteration median/mean.
 ///
 /// One untimed warm-up call is followed by a calibration call that
-/// picks the batch size, then [`SAMPLES`] timed batches.
+/// picks the batch size, then `SAMPLES` timed batches.
 pub fn bench_function(name: &str, mut f: impl FnMut()) {
     f(); // warm-up (allocator, caches, lazy statics)
 

@@ -2,12 +2,9 @@
 
 use vls_cells::{ShifterKind, VoltagePair};
 use vls_runner::{RunReport, RunnerOptions};
-use vls_variation::{monte_carlo_trials, sample_trial_map, Stats, VariationSpec};
+use vls_variation::{monte_carlo_trials, Stats, VariationSpec};
 
-use crate::{
-    characterize, characterize_batch, characterize_with_stats, CellMetrics, CharacterizeOptions,
-    CoreError,
-};
+use crate::{characterize, characterize_with_stats, CellMetrics, CharacterizeOptions, CoreError};
 
 /// The default Monte Carlo seed used by the table binaries, so every
 /// regeneration of Tables 3/4 prints identical rows.
@@ -145,19 +142,6 @@ pub fn monte_carlo_stats_reported(
     let reference = vls_cells::Harness::build(kind, domains, wave, options.load_farads);
     let spec = VariationSpec::paper();
 
-    if options.sim.batch_lanes > 1 {
-        return monte_carlo_stats_batched(
-            kind,
-            domains,
-            options,
-            trials,
-            seed,
-            runner,
-            &reference.circuit,
-            &spec,
-        );
-    }
-
     let ensemble = monte_carlo_trials(
         &reference.circuit,
         &spec,
@@ -176,84 +160,6 @@ pub fn monte_carlo_stats_reported(
     for t in &ensemble.trials {
         if let Ok((metrics, solver)) = &t.result {
             report.absorb_solver(solver);
-            if metrics.functional {
-                ok.push(*metrics);
-            }
-        }
-    }
-    let stats = McStats::from_metrics(&ok, trials).ok_or_else(|| {
-        CoreError::NotFunctional(format!(
-            "all {trials} Monte Carlo trials of {} failed",
-            kind.label()
-        ))
-    })?;
-    Ok((stats, report))
-}
-
-/// The lane-batched Monte Carlo driver behind
-/// [`monte_carlo_stats_reported`] when `options.sim.batch_lanes > 1`:
-/// trials are packed into consecutive K-wide groups (in index order,
-/// so group composition never depends on the worker schedule) and each
-/// group characterizes through one lockstep [`characterize_batch`]
-/// call. The per-trial seed/perturbation stream is drawn through
-/// [`sample_trial_map`] — the same definition the scalar path uses —
-/// so a trial receives the identical process sample at every lane
-/// width. A group whose shared engine run fails de-batches onto the
-/// scalar per-trial path, so a single pathological sample can only
-/// slow its group down, never corrupt it.
-#[allow(clippy::too_many_arguments)] // internal driver; mirrors the public signature
-fn monte_carlo_stats_batched(
-    kind: &ShifterKind,
-    domains: VoltagePair,
-    options: &CharacterizeOptions,
-    trials: usize,
-    seed: u64,
-    runner: &RunnerOptions,
-    reference: &vls_netlist::Circuit,
-    spec: &VariationSpec,
-) -> Result<(McStats, RunReport), CoreError> {
-    type TrialSlot = (Result<CellMetrics, CoreError>, vls_engine::SolverStats);
-    let lanes = options.sim.batch_lanes;
-    let (slots, mut report) = vls_runner::run_lane_groups_reported(
-        trials,
-        lanes,
-        runner,
-        |range: std::ops::Range<usize>| -> Vec<TrialSlot> {
-            let maps: Vec<_> = range
-                .clone()
-                .map(|k| {
-                    sample_trial_map(reference, spec, seed, k, |name| name.starts_with("dut")).1
-                })
-                .collect();
-            match characterize_batch(kind, domains, options, &maps) {
-                Ok((lane_results, stats)) => {
-                    // The lockstep work is pooled; book it on the first
-                    // slot so the report absorbs it exactly once.
-                    let mut stats = Some(stats);
-                    lane_results
-                        .into_iter()
-                        .map(|r| (r, stats.take().unwrap_or_default()))
-                        .collect()
-                }
-                Err(_) => {
-                    // Engine-level batch failure: de-batch the group.
-                    maps.iter()
-                        .map(|map| {
-                            match characterize_with_stats(kind, domains, options, Some(map)) {
-                                Ok((m, s)) => (Ok(m), s),
-                                Err(e) => (Err(e), vls_engine::SolverStats::default()),
-                            }
-                        })
-                        .collect()
-                }
-            }
-        },
-    );
-
-    let mut ok: Vec<CellMetrics> = Vec::new();
-    for (result, solver) in &slots {
-        report.absorb_solver(solver);
-        if let Ok(metrics) = result {
             if metrics.functional {
                 ok.push(*metrics);
             }

@@ -102,7 +102,8 @@ pub(crate) fn singular_failure(
 /// the linear system from scratch every iteration (the legacy hot
 /// path; [`NewtonKernel`] is the symbolic-reuse rewrite). Returns the
 /// converged unknown vector and the iterations spent; accumulates
-/// iteration/factorization counters into `stats`.
+/// iteration, device-evaluation and factorization counters into
+/// `stats`.
 pub(crate) fn newton_solve(
     mna: &Mna<'_>,
     x0: &[f64],
@@ -129,14 +130,14 @@ pub(crate) fn newton_solve(
         stats.newton_iters += 1;
         let x_new = if let Some(a) = dense.as_mut() {
             a.clear();
-            mna.assemble(&x, a, &mut b, ctx);
+            stats.device_evals += mna.assemble(&x, a, &mut b, ctx);
             match a.factorize() {
                 Ok(lu) => lu.solve(&b),
                 Err(e) => return Err(singular_failure(mna, None, &e)),
             }
         } else {
             let mut t = TripletMatrix::new(n);
-            mna.assemble(&x, &mut t, &mut b, ctx);
+            stats.device_evals += mna.assemble(&x, &mut t, &mut b, ctx);
             let csc = t.to_csc_with(&mut csc_scratch);
             match SparseLu::factorize_with_tolerance(&csc, options.sparse_pivot_tol)
                 .and_then(|lu| lu.solve(&b))
@@ -370,10 +371,7 @@ pub(crate) fn solve_dc_at_guess(
             )?;
             (x, stats, solver)
         }
-        // A scalar DC solve under `Batched` is just the symbolic kernel:
-        // lane batching only exists across MC trials, never within one
-        // circuit's ladder.
-        KernelMode::Symbolic | KernelMode::Batched => {
+        KernelMode::Symbolic => {
             // One kernel for the whole ladder: the symbolic pattern,
             // LU storage, workspaces and bypass caches carry across
             // every homotopy stage.

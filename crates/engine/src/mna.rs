@@ -183,13 +183,23 @@ impl<'c> Mna<'c> {
 
     /// Assembles the linearized MNA system at iterate `x` into `a`
     /// (pre-cleared by the caller) and `b` (pre-zeroed), evaluating
-    /// every MOSFET directly.
-    pub fn assemble<M: MatrixSink>(&self, x: &[f64], a: &mut M, b: &mut [f64], ctx: &StampCtx) {
+    /// every MOSFET directly. Returns the number of MOSFET evaluations
+    /// made, for the caller's `SolverStats::device_evals`.
+    pub fn assemble<M: MatrixSink>(
+        &self,
+        x: &[f64],
+        a: &mut M,
+        b: &mut [f64],
+        ctx: &StampCtx,
+    ) -> u64 {
         let temp_k = ctx.temp_k;
+        let mut evals = 0;
         self.assemble_with_eval(x, a, b, ctx, &mut |_, model, geom, bias| {
+            evals += 1;
             let op = model.op(geom, bias.vg, bias.vd, bias.vs, bias.vb, temp_k);
             MosStamp::from_op(&op, &bias)
         });
+        evals
     }
 
     /// [`Mna::assemble`] with the MOSFET evaluation factored out: `eval`

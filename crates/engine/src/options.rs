@@ -7,8 +7,9 @@ use vls_units::Temperature;
 /// Which Newton/transient hot-path implementation to run.
 ///
 /// Both produce the same solutions (the equivalence suite in
-/// `tests/newton_kernel.rs` pins them to each other); `Legacy` exists
-/// as the baseline for benchmarking and as an escape hatch.
+/// `tests/newton_kernel.rs` pins them to each other). `Legacy` is the
+/// reference that suite compares against, and retry rung 2 of
+/// [`SimOptions::escalated`] runs it as the most conservative path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Per-iteration matrix rebuild: fresh `TripletMatrix`/`DenseMatrix`
@@ -20,21 +21,14 @@ pub enum KernelMode {
     /// [`SimOptions::bypass_vtol`] is positive) device-eval bypass.
     #[default]
     Symbolic,
-    /// Lane-batched kernel for Monte Carlo ensembles: K perturbed
-    /// trials of one circuit run in lockstep through one shared
-    /// sparsity pattern, SoA device evaluation with analytic
-    /// derivatives, and a multi-lane LU. Scalar analyses (single
-    /// circuit, or [`SimOptions::batch_lanes`] ≤ 1) behave exactly as
-    /// `Symbolic` — the batched machinery only engages on the batched
-    /// MC entry points.
-    Batched,
 }
 
 /// How the sparse linear system is *structured* before factorization —
 /// orthogonal to [`KernelMode`], which picks the assembly/refactorization
-/// strategy. Only the sparse path of the symbolic kernel honors this;
-/// dense circuits (at or below [`SimOptions::sparse_threshold`]) and
-/// [`KernelMode::Legacy`] always solve in natural order.
+/// strategy. Only the sparse path of [`KernelMode::Symbolic`] honors
+/// this; dense circuits (at or below [`SimOptions::sparse_threshold`])
+/// and [`KernelMode::Legacy`] (retry rung 2 and up) always solve in
+/// natural order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverStructure {
     /// Natural MNA unknown order, flat LU. The default: bit-identical
@@ -128,8 +122,8 @@ pub struct SimOptions {
     /// Sparse linear-system structuring: natural order (the default,
     /// bit-identical to prior behavior), fill-reducing minimum-degree
     /// ordering, or the island-partitioned Schur solver. Honored by the
-    /// sparse path of [`KernelMode::Symbolic`]; everything else ignores
-    /// it.
+    /// sparse path of [`KernelMode::Symbolic`]; the dense path and
+    /// [`KernelMode::Legacy`] ignore it.
     pub structure: SolverStructure,
     /// Worker threads for the island-partitioned solver's per-island
     /// factorization fan-out. `None` defers to the `VLS_JOBS`
@@ -137,12 +131,6 @@ pub struct SimOptions {
     /// `vls-runner` resolution rule). Results never depend on this —
     /// only wall time does.
     pub solver_jobs: Option<usize>,
-    /// Monte Carlo lane width K: how many perturbed trials the batched
-    /// MC path evaluates in lockstep per shard. `1` (the default) keeps
-    /// every ensemble on the scalar per-trial path, bit-identical to
-    /// [`KernelMode::Symbolic`]; values > 1 route MC-capable flows
-    /// through `KernelMode::Batched`. Ignored by scalar analyses.
-    pub batch_lanes: usize,
 }
 
 impl Default for SimOptions {
@@ -169,7 +157,6 @@ impl Default for SimOptions {
             step_budget: None,
             structure: SolverStructure::default(),
             solver_jobs: None,
-            batch_lanes: 1,
         }
     }
 }
@@ -209,10 +196,6 @@ impl SimOptions {
         }
         o.fault = FaultPlan::none();
         o.gmin = self.gmin * 100.0;
-        // Retries also de-batch: a lane that failed inside a K-wide
-        // lockstep group re-runs alone on the scalar path, so a batch
-        // pathology can never wedge the ladder.
-        o.batch_lanes = 1;
         if rung >= 2 {
             o.kernel = KernelMode::Legacy;
             o.bypass_vtol = 0.0;
@@ -246,8 +229,6 @@ mod tests {
         assert!(o.fault.is_empty());
         assert_eq!(o.newton_budget, None);
         assert_eq!(o.step_budget, None);
-        // Lane width 1 = scalar MC, bit-identical to Symbolic.
-        assert_eq!(o.batch_lanes, 1);
         // Natural structure is the bit-identity default; worker count
         // for the island fan-out defers to the environment.
         assert_eq!(o.structure, SolverStructure::Natural);
@@ -261,14 +242,12 @@ mod tests {
             ..SimOptions::default()
         };
         base.fault = FaultPlan::parse("pivot").unwrap();
-        base.batch_lanes = 8;
         base.structure = SolverStructure::Islands;
         assert_eq!(base.escalated(0), base, "rung 0 is the base attempt");
         let r1 = base.escalated(1);
         assert!(r1.fault.is_empty(), "retries run clean");
         assert_eq!(r1.gmin, base.gmin * 100.0);
         assert_eq!(r1.kernel, KernelMode::Symbolic);
-        assert_eq!(r1.batch_lanes, 1, "retries de-batch");
         assert_eq!(
             r1.structure,
             SolverStructure::Islands,

@@ -44,25 +44,6 @@ pub struct TransientResult {
 }
 
 impl TransientResult {
-    /// Assembles a result from raw parts — for the sibling stepping
-    /// cores (the batched lockstep loop in `batch.rs` produces one
-    /// `TransientResult` per lane).
-    pub(crate) fn from_parts(
-        times: Vec<f64>,
-        samples: Vec<Vec<f64>>,
-        n_node_unknowns: usize,
-        branch_names: Vec<String>,
-        stats: SolverStats,
-    ) -> Self {
-        Self {
-            times,
-            samples,
-            n_node_unknowns,
-            branch_names,
-            stats,
-        }
-    }
-
     /// The sample times, ascending, starting at 0.
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -128,9 +109,9 @@ const THETA: f64 = 0.55;
 /// over a step of `h` through the last two accepted points —
 /// `history` is the point before `x` with the step that led from it
 /// to `x` — or `x` itself when there is no usable history (after DC,
-/// UIC or a breakpoint). Every transient stepper starts Newton from
-/// this vector and measures its LTE against it.
-pub(crate) fn predict(x: &[f64], history: Option<(&[f64], f64)>, h: f64, out: &mut [f64]) {
+/// UIC or a breakpoint). The stepper starts Newton from this vector
+/// and measures its LTE against it.
+fn predict(x: &[f64], history: Option<(&[f64], f64)>, h: f64, out: &mut [f64]) {
     match history {
         Some((x_prev, h_prev)) if h_prev > 0.0 => {
             let ratio = h / h_prev;
@@ -213,7 +194,7 @@ pub fn run_transient_uic(
 }
 
 /// Refuses a stop time that is not strictly positive and finite.
-pub(crate) fn check_tstop(tstop: f64) -> Result<(), EngineError> {
+fn check_tstop(tstop: f64) -> Result<(), EngineError> {
     if tstop > 0.0 && tstop.is_finite() {
         Ok(())
     } else {
@@ -298,10 +279,7 @@ fn transient_from_state(
     // bypass caches persist across all time steps.
     let mut legacy_stats = SolverStats::default();
     let mut kernel = match options.kernel {
-        // A scalar transient under `Batched` runs the symbolic kernel;
-        // the lockstep machinery lives in `batch.rs` and only engages
-        // through the multi-circuit entry point.
-        KernelMode::Symbolic | KernelMode::Batched => {
+        KernelMode::Symbolic => {
             let probe: Vec<CompanionCap> = caps
                 .iter()
                 .map(|cap| CompanionCap {
@@ -375,7 +353,10 @@ fn transient_from_state(
                         temp_k,
                         options.bypass_vtol,
                     ),
-                    None => model.caps(geom, vg, vd, vs, vb, temp_k),
+                    None => {
+                        legacy_stats.cap_evals += 1;
+                        model.caps(geom, vg, vd, vs, vb, temp_k)
+                    }
                 };
                 let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
                 for (slot, val) in m.slots.iter().zip(values) {
@@ -921,8 +902,7 @@ mod tests {
         for tstop in [0.0, -1e-9, f64::NAN, f64::INFINITY] {
             let scalar = run_transient(&c, tstop, &opts()).map(drop);
             let uic = run_transient_uic(&c, tstop, &opts(), &[]).map(drop);
-            let lanes = crate::run_transient_batched(&[c.clone()], tstop, &opts()).map(drop);
-            assert!(refused(scalar) && refused(uic) && refused(lanes), "{tstop}");
+            assert!(refused(scalar) && refused(uic), "{tstop}");
         }
     }
 }

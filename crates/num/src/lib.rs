@@ -45,7 +45,7 @@ pub use dense::{DenseLu, DenseMatrix};
 pub use order::{invert_permutation, is_identity, min_degree};
 pub use schur::{IslandFactor, IslandOutcome, IslandPartition, SchurSolver, SchurStructure};
 pub use sparse::{CscMatrix, TripletMatrix};
-pub use splu::{MultiLu, MultiPivotReport, SparseLu};
+pub use splu::SparseLu;
 pub use stats::SolverStats;
 pub use vecops::{norm_inf, norm_two, weighted_converged};
 

@@ -13,8 +13,8 @@
 //! numeric pivoting below it: it is applied as a symmetric row/column
 //! permutation `P·A·Pᵀ` at compile time, which keeps the MNA diagonal
 //! on the diagonal, so [`crate::SparseLu`]'s diagonal-preference
-//! pivoting, pivot-health fallback, and [`crate::MultiLu`] lane sharing
-//! all operate unchanged on the permuted system.
+//! pivoting and pivot-health fallback operate unchanged on the permuted
+//! system.
 
 use crate::CscMatrix;
 use std::cmp::Reverse;

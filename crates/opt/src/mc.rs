@@ -9,12 +9,10 @@
 //! of silent trial loss.
 
 use vls_cells::{Harness, ShifterKind, VoltagePair};
-use vls_core::{
-    characterize_batch, characterize_with, CellMetrics, CharacterizeOptions, CoreError,
-};
+use vls_core::{characterize_with, CellMetrics, CharacterizeOptions, CoreError};
 use vls_num::rng::Xoshiro256pp;
 use vls_runner::{run_ensemble_resilient, RetryPolicy, RunnerOptions};
-use vls_variation::{sample_perturbation, sample_trial_map, VariationSpec};
+use vls_variation::{sample_perturbation, VariationSpec};
 
 /// What a Monte Carlo trial must achieve to count as a pass, plus the
 /// ensemble's shape.
@@ -113,44 +111,6 @@ pub fn yield_ensemble(
         pass
     };
 
-    // Lane-batched rung-0 prepass: with `batch_lanes > 1` the base
-    // attempt of every trial runs through lockstep K-wide groups (one
-    // shared time grid, one multi-lane LU per group) before the ladder
-    // starts. The resilient ensemble below then *looks up* rung 0 and
-    // only re-simulates — scalar, escalated, de-batched — the trials
-    // whose base attempt failed. A `None` slot (engine-level group
-    // failure) makes the trial compute its own scalar rung 0, so the
-    // ladder semantics are unchanged. With `batch_lanes <= 1` the
-    // prepass is skipped and this function is byte-for-byte the scalar
-    // ensemble.
-    let prepass: Option<Vec<Option<Result<bool, CoreError>>>> = if base.sim.batch_lanes > 1 {
-        let (slots, _) = vls_runner::run_lane_groups_reported(
-            spec.trials,
-            base.sim.batch_lanes,
-            runner,
-            |range: std::ops::Range<usize>| {
-                let maps: Vec<_> = range
-                    .map(|k| {
-                        sample_trial_map(&reference.circuit, &variation, spec.seed, k, |name| {
-                            name.starts_with("dut")
-                        })
-                        .1
-                    })
-                    .collect();
-                match characterize_batch(kind, domains, base, &maps) {
-                    Ok((lane_results, _)) => lane_results
-                        .into_iter()
-                        .map(|r| Some(r.map(|m| score(&m))))
-                        .collect(),
-                    Err(_) => vec![None; maps.len()],
-                }
-            },
-        );
-        Some(slots)
-    } else {
-        None
-    };
-
     let ensemble = run_ensemble_resilient(
         spec.trials,
         spec.seed,
@@ -159,11 +119,6 @@ pub fn yield_ensemble(
             max_retries: spec.retries,
         },
         |job, rung| {
-            if rung == 0 {
-                if let Some(slot) = prepass.as_ref().and_then(|p| p[job.index].clone()) {
-                    return slot;
-                }
-            }
             // The process point depends only on the trial seed: every
             // rung re-simulates the *same* sampled device population.
             let mut rng = Xoshiro256pp::seed_from_u64(job.seed);

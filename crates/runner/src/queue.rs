@@ -236,39 +236,6 @@ pub fn run_indexed_reported<T: Send>(
     )
 }
 
-/// Lane-batched scheduling: packs `n` trial indices into consecutive
-/// groups of `lanes` (the last group may be short) and runs one *group*
-/// per job across the configured workers. `f` receives each group's
-/// index range and must return exactly one result per index; the
-/// flattened output is in trial-index order.
-///
-/// Group composition depends only on `(n, lanes)` — never on the worker
-/// count or schedule — so a lockstep evaluator whose numerics depend on
-/// which trials share a group (max-LTE time grids, shared pivots) stays
-/// bit-identical for every worker count at a fixed lane width.
-///
-/// # Panics
-///
-/// Panics if `lanes` is zero or a group returns the wrong number of
-/// results; propagates panics from `f`.
-pub fn run_lane_groups_reported<T: Send>(
-    n: usize,
-    lanes: usize,
-    options: &RunnerOptions,
-    f: impl Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
-) -> (Vec<T>, RunReport) {
-    assert!(lanes >= 1, "lane width must be at least 1");
-    let groups = n.div_ceil(lanes);
-    let (chunks, report) = run_indexed_reported(groups, options, |g| {
-        let range = g * lanes..((g + 1) * lanes).min(n);
-        let count = range.len();
-        let out = f(range);
-        assert_eq!(out.len(), count, "group produced a wrong trial count");
-        out
-    });
-    (chunks.into_iter().flatten().collect(), report)
-}
-
 /// [`run_indexed_reported`] without the report.
 pub fn run_indexed<T: Send>(
     n: usize,
@@ -363,32 +330,6 @@ mod tests {
         assert_eq!(out, (0..12).map(|k| 2 * k).collect::<Vec<_>>());
         assert_eq!(report.shards.len(), 1);
         assert_eq!(report.shards[0].jobs_done, 12);
-    }
-
-    #[test]
-    fn lane_groups_flatten_in_index_order_for_every_worker_count() {
-        let eval = |r: std::ops::Range<usize>| r.map(|k| k * 10).collect::<Vec<_>>();
-        let expect: Vec<usize> = (0..23).map(|k| k * 10).collect();
-        for lanes in [1, 4, 8] {
-            for jobs in [1, 2, 8] {
-                let (out, report) =
-                    run_lane_groups_reported(23, lanes, &RunnerOptions::with_jobs(jobs), eval);
-                assert_eq!(out, expect, "lanes {lanes}, jobs {jobs}");
-                let done: usize = report.shards.iter().map(|s| s.jobs_done).sum();
-                assert_eq!(done, 23usize.div_ceil(lanes), "groups, not trials");
-            }
-        }
-    }
-
-    #[test]
-    fn lane_groups_pass_the_exact_ranges() {
-        let (out, _) = run_lane_groups_reported(10, 4, &RunnerOptions::serial(), |r| {
-            vec![(r.start, r.end); r.len()]
-        });
-        assert_eq!(out.len(), 10);
-        assert_eq!(out[0], (0, 4));
-        assert_eq!(out[4], (4, 8));
-        assert_eq!(out[9], (8, 10), "final group is short");
     }
 
     #[test]

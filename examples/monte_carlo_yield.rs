@@ -10,14 +10,7 @@
 //! ```text
 //! cargo run --release --example monte_carlo_yield [trials]
 //! VLS_JOBS=1 cargo run --release --example monte_carlo_yield   # same output
-//! VLS_BATCH=8 cargo run --release --example monte_carlo_yield  # lockstep lanes
 //! ```
-//!
-//! `VLS_BATCH=K` (K > 1) runs each trial's base attempt through the
-//! lane-batched lockstep path — K trials share one compiled sparsity
-//! pattern, SoA device evaluation and a multi-lane LU — with escalated
-//! retries de-batching to the scalar ladder. Pass verdicts are
-//! identical; only the wall clock moves.
 
 use sstvs::cells::{ShifterKind, VoltagePair};
 use sstvs::flows::CharacterizeOptions;
@@ -29,14 +22,7 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(25);
-    let mut options = CharacterizeOptions::default();
-    // Lane width for the batched Monte Carlo path; 1 (the default)
-    // keeps the scalar per-trial ensemble.
-    options.sim.batch_lanes = std::env::var("VLS_BATCH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&k| k >= 1)
-        .unwrap_or(1);
+    let options = CharacterizeOptions::default();
     let domains = VoltagePair::low_to_high();
     // RunnerOptions::default() honors VLS_JOBS, falling back to all
     // cores — exactly what the optimizer's yield mode does.
@@ -52,9 +38,8 @@ fn main() {
     };
 
     println!(
-        "Monte Carlo, {trials} trials, VDDI = 0.8 V -> VDDO = 1.2 V, {} worker(s), {} lane(s)",
-        runner.effective_jobs(),
-        options.sim.batch_lanes
+        "Monte Carlo, {trials} trials, VDDI = 0.8 V -> VDDO = 1.2 V, {} worker(s)",
+        runner.effective_jobs()
     );
     println!(
         "targets: delay <= 400 ps, leakage <= 20 nA, {} escalated retr(ies) per trial",

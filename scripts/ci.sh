@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints (warnings are errors), full test suite.
+# CI gate: formatting, lints and docs (warnings are errors), full test suite.
 # Run from anywhere; operates on the workspace root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,6 +12,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test"
 cargo test --workspace -q
+
+# Doc comments may only link to items that exist and are public, so a
+# deleted or private item cannot stay referenced from the docs.
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The runner suites must hold on a single worker too: the determinism
 # contract says sharding never changes a result, so the serial path is
@@ -187,20 +192,6 @@ cargo test -q --test opt_regression
 echo "==> opt_convergence --smoke (release, budget + gap + 50x floors enforced)"
 cargo run -q --release -p vls-bench --bin opt_convergence -- \
     --smoke --out "$CHARLIB_TMP/opt_smoke.json"
-
-# The batched-MC leg: the lockstep lane suite on one worker and at
-# default parallelism (group composition depends only on (trials, K),
-# so the worker grid must be bit-identical), then the release-mode
-# lane-scaling bench: K=1 must match the scalar featured path
-# statistic for statistic, cross-K statistics must hold inside the
-# shared-grid band, and the ≥2x floor is enforced at K>=8.
-echo "==> cargo test (batched MC, VLS_JOBS=1 and default jobs)"
-VLS_JOBS=1 cargo test -q --test mc_batched
-cargo test -q --test mc_batched
-
-echo "==> mc_batched --smoke (release, 2x floor at K>=8 enforced)"
-cargo run -q --release -p vls-bench --bin mc_batched -- \
-    --smoke --out "$CHARLIB_TMP/mc_batched_smoke.json"
 
 # The structured-solve leg: clippy scoped to the numerics crate (the
 # ordering and Schur machinery live there and must stay warning-free

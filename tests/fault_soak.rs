@@ -319,6 +319,10 @@ fn solver_stats_counters_stay_consistent_across_escalation() {
         );
         assert!(s.newton_iters >= s.linear_solves, "rung {rung}");
         assert!(s.refactor_fallbacks <= s.full_factorizations, "rung {rung}");
+        // Every rung books its device work, the Legacy kernel of
+        // rungs >= 2 included.
+        assert!(s.device_evals > 0, "rung {rung}: {}", s.render());
+        assert!(s.cap_evals > 0, "rung {rung}: {}", s.render());
         if rung > 0 {
             assert_eq!(s.injected_faults, 0, "escalation must disarm the plan");
         }

@@ -24,7 +24,7 @@ use sstvs::cells::{Harness, KhanSsvs, PuriSsvs, ShifterKind, VoltagePair};
 use sstvs::engine::{run_transient, KernelMode, SimOptions, TransientResult};
 use sstvs::flows::experiments::tables::{monte_carlo_stats_reported, DEFAULT_MC_SEED};
 use sstvs::flows::CharacterizeOptions;
-use sstvs::netlist::Circuit;
+use sstvs::netlist::{Circuit, Element};
 use sstvs::num::rng::Xoshiro256pp;
 use sstvs::runner::RunnerOptions;
 use sstvs::variation::{sample_perturbation, VariationSpec};
@@ -102,14 +102,43 @@ fn symbolic_kernel_is_bit_identical_to_legacy_on_all_six_cells() {
             "{}: kernels accepted different step sequences",
             kind.label()
         );
+        // Identical arithmetic is identical work: every counter agrees.
+        assert_eq!(
+            legacy.solver_stats(),
+            symbolic.solver_stats(),
+            "{}: kernels booked different work",
+            kind.label()
+        );
+        let mosfets = h
+            .circuit
+            .elements()
+            .iter()
+            .filter(|e| matches!(e, Element::Mosfet { .. }))
+            .count() as u64;
         // Newton starts each step from the predictor, so the corrector
         // needs about two iterations per accepted step (a start from the
         // last accepted point needs 2.5-2.9), and no step is rejected.
+        // With bypass off, every iteration evaluates every MOSFET and
+        // every accepted step refreshes every MOSFET's capacitances.
         for (arm, res) in [("legacy", &legacy), ("symbolic", &symbolic)] {
             let stats = res.solver_stats();
             let steps = (res.len() - 1) as u64;
             assert_eq!(stats.tran_steps, steps, "{} {arm}", kind.label());
             assert_eq!(stats.rejected_steps, 0, "{} {arm}", kind.label());
+            assert_eq!(
+                stats.device_evals,
+                mosfets * stats.newton_iters,
+                "{} {arm}: {}",
+                kind.label(),
+                stats.render()
+            );
+            assert_eq!(
+                stats.cap_evals,
+                mosfets * stats.tran_steps,
+                "{} {arm}: {}",
+                kind.label(),
+                stats.render()
+            );
             let per_step = stats.newton_iters as f64 / steps as f64;
             assert!(
                 per_step <= 2.2,
