@@ -12,6 +12,12 @@
 //! 3. **ctrl capacitance (MC)** — "selected to be large enough to
 //!    allow the discharge of node2": sweep the capacitor width and
 //!    watch the rising (node2-discharge) edge.
+//! 4. **NOR output stage** — sweep the NOR gate's PMOS width and watch
+//!    the rise/fall balance.
+//!
+//! Ablations 2–4 read only delays and functionality, so they run the
+//! stimulus half of the protocol (`characterize_switching`); ablation 1
+//! reads leakage and runs all of it.
 //!
 //! ```text
 //! cargo run --release -p vls-bench --bin ablations
@@ -19,7 +25,7 @@
 
 use vls_bench::BinArgs;
 use vls_cells::{ShifterKind, Sstvs, SstvsSizes, VoltagePair};
-use vls_core::characterize;
+use vls_core::{characterize, characterize_switching};
 
 fn main() {
     let args = BinArgs::parse(std::env::args().skip(1));
@@ -65,7 +71,7 @@ fn main() {
         let mut line = String::new();
         let mut v = 0.8;
         while v <= 1.4 + 1e-9 {
-            match characterize(&kind, VoltagePair::new(v, v), &opts) {
+            match characterize_switching(&kind, VoltagePair::new(v, v), &opts) {
                 Ok(m) if m.functional => {
                     line.push_str(&format!(" {v:.1}V:{:>5.0}ps", m.delay_rise.as_picos()))
                 }
@@ -83,7 +89,7 @@ fn main() {
             ..SstvsSizes::paper()
         };
         let kind = ShifterKind::Sstvs(Sstvs::with_sizes(sizes));
-        match characterize(&kind, VoltagePair::low_to_high(), &opts) {
+        match characterize_switching(&kind, VoltagePair::low_to_high(), &opts) {
             Ok(m) => println!(
                 "  W(MC) = {w_mc:.1} um: rise delay {} fall delay {} functional {}",
                 m.delay_rise, m.delay_fall, m.functional
@@ -106,7 +112,7 @@ fn main() {
             ..SstvsSizes::paper()
         };
         let kind = ShifterKind::Sstvs(Sstvs::with_sizes(sizes));
-        match characterize(&kind, VoltagePair::low_to_high(), &opts) {
+        match characterize_switching(&kind, VoltagePair::low_to_high(), &opts) {
             Ok(m) => println!(
                 "  W(NOR pmos) = {wp:.1} um: rise {} fall {} (rise/fall ratio {:.2})",
                 m.delay_rise,

@@ -221,31 +221,17 @@ impl Harness {
     /// 50 ps edges, returned together with the window boundaries
     /// `(t_rise2, t_fall2, t_end)` of the measured cycle.
     pub fn standard_stimulus(domains: VoltagePair) -> (SourceWaveform, f64, f64, f64) {
-        Self::pulse_stimulus(domains, 7e-9, 8.9e-9)
+        Self::pulse_stimulus_with_slew(domains, 7e-9, 8.9e-9, 50e-12)
     }
 
     /// A two-cycle pulse train with explicit high-phase `width` and
     /// low-phase `low_gap` durations — the knobs behind the paper's
     /// worst-case input-sequence search (a short high phase starves
     /// the `ctrl` node of charging time; a short low phase starves the
-    /// recovery). Returns `(waveform, t_rise2, t_fall2, t_end)` where
-    /// the `2` edges belong to the measured second cycle. Edges use the
-    /// paper's 50 ps slew.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either duration is not strictly positive.
-    pub fn pulse_stimulus(
-        domains: VoltagePair,
-        width: f64,
-        low_gap: f64,
-    ) -> (SourceWaveform, f64, f64, f64) {
-        Self::pulse_stimulus_with_slew(domains, width, low_gap, 50e-12)
-    }
-
-    /// [`Self::pulse_stimulus`] with an explicit edge slew (rise and
-    /// fall time), seconds — the stimulus knob behind the
-    /// characterization grid's input-slew axis.
+    /// recovery) — and edge `slew` (rise and fall time), seconds, the
+    /// stimulus knob behind the characterization grid's input-slew
+    /// axis. Returns `(waveform, t_rise2, t_fall2, t_end)` where the
+    /// `2` edges belong to the measured second cycle.
     ///
     /// # Panics
     ///

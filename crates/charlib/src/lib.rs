@@ -323,10 +323,13 @@ pub struct CharLib {
 impl CharLib {
     /// Fills the grid for `kind` by running the exact measurement
     /// protocol at every point, sharded across workers per `runner`.
-    /// Points where the protocol fails (the cell does not translate,
-    /// an edge never appears, the engine diverges) are recorded as
-    /// non-functional, not errors — exactly like the Figure 8/9 sweep.
-    /// The filled tables are bit-identical for every worker count.
+    /// Points where any of its three runs fails (the cell does not
+    /// translate, an edge never appears, the engine diverges, a leakage
+    /// hold does not settle) are recorded as non-functional, not
+    /// errors. The Figure 8/9 sweep runs only the stimulus run, so a
+    /// point that fails in a leakage hold alone is non-functional here
+    /// and functional there. The filled tables are bit-identical for
+    /// every worker count.
     ///
     /// `base` carries the protocol constants (tolerances, power
     /// window); its slew/load/temperature are overridden per grid

@@ -12,9 +12,12 @@ use crate::{CharLib, QueryPoint};
 /// the surrogate and points outside it (or over non-functional table
 /// cells) transparently fall back to exact transients — the miss
 /// counter shows how much of the surface actually needed simulation.
-/// Points where even the exact fallback fails (the cell does not
-/// translate) become NaN/non-functional, matching
-/// [`vls_core::experiments::figures::delay_surface`].
+/// Points where even the exact fallback fails become NaN/non-functional.
+/// The fallback runs the full protocol, leakage holds included, while
+/// [`vls_core::experiments::figures::delay_surface`] runs only the
+/// stimulus run: the two agree wherever the cell translates, but a
+/// point that fails in a leakage hold alone reads non-functional here
+/// and functional there.
 ///
 /// # Panics
 ///

@@ -1,9 +1,20 @@
 //! The paper's measurement protocol.
 //!
-//! One transient run per characterization: a two-cycle pulse train
-//! drives the cell through its input driver chain. Cycle 1 initializes
-//! the cell's dynamic nodes (both designs contain them); cycle 2 is
-//! measured:
+//! Three transient runs per characterization:
+//!
+//! * the **stimulus run**, a two-cycle pulse train driving the cell
+//!   through its input driver chain. Cycle 1 initializes the cell's
+//!   dynamic nodes (both designs contain them); cycle 2 is measured.
+//!   It gives the delays, the switching powers and the functionality
+//!   verdict, [`SwitchingMetrics`], and is all that
+//!   [`characterize_switching`] runs;
+//! * two 400 ns **leakage holds**, one per input state, each after a
+//!   0–5 ns initializing pulse. Their sources agree up to 5 ns, so that
+//!   prefix is simulated once: the input-low hold resumes from the
+//!   input-high hold's 5 ns sample ([`vls_engine::run_transient_from`])
+//!   and reproduces its own uninterrupted run bit for bit.
+//!
+//! The metrics:
 //!
 //! * **fall delay** — cell input rising through VDDI/2 → output
 //!   falling through VDDO/2;
@@ -25,15 +36,14 @@
 //!   shared by every design). Summing both rails matters because in a
 //!   high-to-low configuration part of the static current enters from
 //!   the input domain and *exits* into the VDDO rail — metering VDDO
-//!   alone would under- or even negative-count it. Extracted from two
-//!   dedicated long-hold transients (one per state, each preceded by
-//!   an initializing pulse): the cell's dynamic internal nodes keep
+//!   alone would under- or even negative-count it. Extracted from the
+//!   two leakage holds: the cell's dynamic internal nodes keep
 //!   relaxing for hundreds of nanoseconds after a switching event, so
 //!   the tail of the fast delay/power run is *not* yet the static
 //!   state the paper's leakage numbers describe.
 
 use vls_cells::{Harness, ShifterKind, VoltagePair};
-use vls_engine::{run_transient, SimOptions, SolverStats, TransientResult};
+use vls_engine::{run_transient, run_transient_from, SimOptions, SolverStats, TransientResult};
 use vls_units::{Current, Power, Time};
 use vls_variation::PerturbationMap;
 use vls_waveform::{average, delay_between, is_settled, Edge, Waveform};
@@ -94,6 +104,23 @@ pub struct CellMetrics {
     pub leakage_high: Current,
     /// Steady-state VDDO current, output low.
     pub leakage_low: Current,
+    /// `true` when the output reached both rails within tolerance.
+    pub functional: bool,
+}
+
+/// What the stimulus run measures: the delays, the switching powers
+/// and the functionality verdict — every [`CellMetrics`] field but the
+/// two leakages.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SwitchingMetrics {
+    /// Output rising delay.
+    pub delay_rise: Time,
+    /// Output falling delay.
+    pub delay_fall: Time,
+    /// Average switching power for the rising-output event.
+    pub power_rise: Power,
+    /// Average switching power for the falling-output event.
+    pub power_fall: Power,
     /// `true` when the output reached both rails within tolerance.
     pub functional: bool,
 }
@@ -170,19 +197,23 @@ fn driver_baseline_power(
     Ok(i_vddi * domains.vddi)
 }
 
-/// One dedicated leakage run: an initializing pulse, then a long hold
-/// in the requested input state; returns the total static supply
-/// power over the settled tail, referred to VDDO and corrected for the
-/// driver baseline.
-fn leakage_run(
+/// End of the leakage holds' initializing pulse, s. Both holds' sources
+/// agree up to here, and it is a breakpoint of both.
+const HOLD_PREFIX_END: f64 = 5e-9;
+/// Length of each leakage hold, s.
+const HOLD_END: f64 = 400e-9;
+/// The settled tail each leakage is averaged over, s.
+const HOLD_WINDOW: f64 = 50e-9;
+
+/// The harness of one leakage hold: an initializing pulse from 1 to
+/// 4 ns, then the input held in the requested state from 5 ns on.
+fn hold_harness(
     kind: &ShifterKind,
     domains: VoltagePair,
     options: &CharacterizeOptions,
     input_high: bool,
     perturbation: Option<&PerturbationMap>,
-    stats: &mut SolverStats,
-) -> Result<f64, CoreError> {
-    // Init pulse 1–4 ns; then hold at the target level from 5 ns on.
+) -> Harness {
     let hold = if input_high { domains.vddi } else { 0.0 };
     let wave = vls_device::SourceWaveform::Pwl(vec![
         (0.0, 0.0),
@@ -190,34 +221,80 @@ fn leakage_run(
         (1.05e-9, domains.vddi),
         (4e-9, domains.vddi),
         (4.05e-9, 0.0),
-        (5e-9, 0.0),
-        (5.05e-9, hold),
+        (HOLD_PREFIX_END, 0.0),
+        (HOLD_PREFIX_END + 0.05e-9, hold),
     ]);
     let mut harness = Harness::build(kind, domains, wave, options.load_farads);
     if let Some(map) = perturbation {
         map.apply(&mut harness.circuit);
     }
-    let t_end = 400e-9;
-    let mut sim = options.sim.clone();
-    // Quiet circuit: let the step controller stride.
-    sim.max_step = Some(5e-9);
-    let res = run_transient(&harness.circuit, t_end, &sim)?;
-    stats.merge(&res.solver_stats());
-    let i_vddo = supply_current(&res, Harness::VDDO_SOURCE);
-    let i_vddi = supply_current(&res, Harness::VDDI_SOURCE);
+    harness
+}
+
+/// Engine options of a leakage hold: the circuit is quiet, so the
+/// step controller may stride.
+fn hold_sim(options: &CharacterizeOptions) -> SimOptions {
+    SimOptions {
+        max_step: Some(5e-9),
+        ..options.sim.clone()
+    }
+}
+
+/// The leakage one hold measured: the total static supply power over
+/// its settled tail, corrected for the driver baseline and referred to
+/// VDDO.
+fn hold_leakage(
+    harness: &Harness,
+    res: &TransientResult,
+    domains: VoltagePair,
+    options: &CharacterizeOptions,
+    input_high: bool,
+    stats: &mut SolverStats,
+) -> Result<f64, CoreError> {
+    let i_vddo = supply_current(res, Harness::VDDO_SOURCE);
+    let i_vddi = supply_current(res, Harness::VDDI_SOURCE);
     let out = Waveform::new(res.times().to_vec(), res.node_series(harness.output))
         .expect("engine produces monotonic time");
-    let window = 50e-9;
-    if !is_settled(&out, window, 0.02 * domains.vddo) {
+    if !is_settled(&out, HOLD_WINDOW, 0.02 * domains.vddo) {
         return Err(CoreError::NotSettled(format!(
             "leakage run (input {}) did not settle",
             if input_high { "high" } else { "low" }
         )));
     }
-    let p_total = average(&i_vddo, t_end - window, t_end) * domains.vddo
-        + average(&i_vddi, t_end - window, t_end) * domains.vddi;
+    let tail = HOLD_END - HOLD_WINDOW;
+    let p_total = average(&i_vddo, tail, HOLD_END) * domains.vddo
+        + average(&i_vddi, tail, HOLD_END) * domains.vddi;
     let p_cell = p_total - driver_baseline_power(domains, options, input_high, stats)?;
     Ok(p_cell / domains.vddo)
+}
+
+/// Both leakage holds, as `(leakage_high, leakage_low)` in amperes. The
+/// input-high hold (output low) runs in full; the input-low hold
+/// resumes from its [`HOLD_PREFIX_END`] sample, and only that sample
+/// outlives the first run.
+fn leakage_holds(
+    kind: &ShifterKind,
+    domains: VoltagePair,
+    options: &CharacterizeOptions,
+    perturbation: Option<&PerturbationMap>,
+    stats: &mut SolverStats,
+) -> Result<(f64, f64), CoreError> {
+    let sim = hold_sim(options);
+    let (leakage_low, (t0, prefix)) = {
+        let harness = hold_harness(kind, domains, options, true, perturbation);
+        let res = run_transient(&harness.circuit, HOLD_END, &sim)?;
+        stats.merge(&res.solver_stats());
+        let leakage = hold_leakage(&harness, &res, domains, options, true, stats)?;
+        let (t0, x) = res
+            .state_at(HOLD_PREFIX_END)
+            .expect("the prefix end is a breakpoint of the hold");
+        (leakage, (t0, x.to_vec()))
+    };
+    let harness = hold_harness(kind, domains, options, false, perturbation);
+    let res = run_transient_from(&harness.circuit, t0, &prefix, HOLD_END, &sim)?;
+    stats.merge(&res.solver_stats());
+    let leakage_high = hold_leakage(&harness, &res, domains, options, false, stats)?;
+    Ok((leakage_high, leakage_low))
 }
 
 /// Runs the paper's measurement protocol for `kind` at `domains`.
@@ -234,6 +311,25 @@ pub fn characterize(
     options: &CharacterizeOptions,
 ) -> Result<CellMetrics, CoreError> {
     characterize_with(kind, domains, options, None)
+}
+
+/// The stimulus run of [`characterize`] alone: the delays, switching
+/// powers and functionality verdict, without the two leakage holds.
+/// Each field is bitwise the one [`characterize`] reports — what delay
+/// sweeps such as
+/// [`delay_surface`](crate::experiments::figures::delay_surface) call.
+///
+/// # Errors
+///
+/// Propagates engine failures and reports [`CoreError::MissingEdge`]
+/// when an output edge never occurs. A point whose leakage hold would
+/// not settle still succeeds here.
+pub fn characterize_switching(
+    kind: &ShifterKind,
+    domains: VoltagePair,
+    options: &CharacterizeOptions,
+) -> Result<SwitchingMetrics, CoreError> {
+    switching_run(kind, domains, options, None, &mut SolverStats::default())
 }
 
 /// [`characterize`] with an optional process-variation sample applied
@@ -259,22 +355,19 @@ pub fn characterize_with_stats(
     options: &CharacterizeOptions,
     perturbation: Option<&PerturbationMap>,
 ) -> Result<(CellMetrics, SolverStats), CoreError> {
-    // The standard two-cycle train at the configured edge slew; the
-    // default 50 ps reproduces `Harness::standard_stimulus` exactly.
-    let (wave, t_rise2, t_fall2, t_end) =
-        Harness::pulse_stimulus_with_slew(domains, 7e-9, 8.9e-9, options.input_slew);
     let mut stats = SolverStats::default();
-    let metrics = characterize_stimulus(
-        kind,
-        domains,
-        options,
-        perturbation,
-        wave,
-        t_rise2,
-        t_fall2,
-        t_end,
-        &mut stats,
-    )?;
+    let s = switching_run(kind, domains, options, perturbation, &mut stats)?;
+    let (leakage_high, leakage_low) =
+        leakage_holds(kind, domains, options, perturbation, &mut stats)?;
+    let metrics = CellMetrics {
+        delay_rise: s.delay_rise,
+        delay_fall: s.delay_fall,
+        power_rise: s.power_rise,
+        power_fall: s.power_fall,
+        leakage_high: Current::from_amps(leakage_high),
+        leakage_low: Current::from_amps(leakage_low),
+        functional: s.functional,
+    };
     Ok((metrics, stats))
 }
 
@@ -285,7 +378,9 @@ pub fn characterize_with_stats(
 /// phase (minimal `ctrl` charging time before the measured falling
 /// input) and a short low phase (minimal recovery before the measured
 /// rising input) — and reports the per-edge maximum; power and leakage
-/// come from the standard protocol run.
+/// come from the standard protocol run. The stressing sequences use
+/// the configured [`CharacterizeOptions::input_slew`], like the
+/// standard run.
 ///
 /// # Errors
 ///
@@ -301,7 +396,8 @@ pub fn characterize_worst_case(
     // long enough for legal operation — the worst case ranges over
     // input *sequences*, not over-spec switching rates.
     for (width, low_gap) in [(0.5e-9, 8.9e-9), (7e-9, 1.5e-9)] {
-        let (wave, t_rise2, t_fall2, t_end) = Harness::pulse_stimulus(domains, width, low_gap);
+        let (wave, t_rise2, t_fall2, t_end) =
+            Harness::pulse_stimulus_with_slew(domains, width, low_gap, options.input_slew);
         let harness = Harness::build(kind, domains, wave, options.load_farads);
         let res = run_transient(&harness.circuit, t_end, &options.sim)?;
         let p = probes(&harness, &res);
@@ -334,20 +430,20 @@ pub fn characterize_worst_case(
     Ok(metrics)
 }
 
-/// One protocol run under an explicit stimulus; the building block of
-/// both the standard and worst-case flows.
-#[allow(clippy::too_many_arguments)] // the stimulus markers travel together
-fn characterize_stimulus(
+/// The stimulus run: the standard two-cycle train at the configured
+/// edge slew, with an optional process-variation sample, adding its
+/// work to `stats`.
+fn switching_run(
     kind: &ShifterKind,
     domains: VoltagePair,
     options: &CharacterizeOptions,
     perturbation: Option<&PerturbationMap>,
-    wave: vls_device::SourceWaveform,
-    t_rise2: f64,
-    t_fall2: f64,
-    t_end: f64,
     stats: &mut SolverStats,
-) -> Result<CellMetrics, CoreError> {
+) -> Result<SwitchingMetrics, CoreError> {
+    // The default 50 ps slew reproduces `Harness::standard_stimulus`
+    // exactly.
+    let (wave, t_rise2, t_fall2, t_end) =
+        Harness::pulse_stimulus_with_slew(domains, 7e-9, 8.9e-9, options.input_slew);
     let mut harness = Harness::build(kind, domains, wave, options.load_farads);
     if let Some(map) = perturbation {
         map.apply(&mut harness.circuit);
@@ -393,10 +489,6 @@ fn characterize_stimulus(
     let power_fall_avg = power_at(t_rise2);
     let power_rise_avg = power_at(t_fall2);
 
-    // Dedicated long-hold leakage runs.
-    let leakage_low = leakage_run(kind, domains, options, true, perturbation, stats)?;
-    let leakage_high = leakage_run(kind, domains, options, false, perturbation, stats)?;
-
     // Functionality: the output must approach both rails in the fast
     // run.
     let low_phase_end = t_fall2 - 0.2e-9;
@@ -405,13 +497,11 @@ fn characterize_stimulus(
     let v_high = p.output.value_at(t_end);
     let functional = v_low.abs() <= tol && (v_high - domains.vddo).abs() <= tol;
 
-    Ok(CellMetrics {
+    Ok(SwitchingMetrics {
         delay_rise: Time::from_secs(delay_rise),
         delay_fall: Time::from_secs(delay_fall),
         power_rise: Power::from_watts(power_rise_avg),
         power_fall: Power::from_watts(power_fall_avg),
-        leakage_high: Current::from_amps(leakage_high),
-        leakage_low: Current::from_amps(leakage_low),
         functional,
     })
 }
@@ -525,6 +615,94 @@ mod tests {
         );
         // Non-delay metrics come from the standard run.
         assert_eq!(worst.leakage_high, standard.leakage_high);
+    }
+
+    #[test]
+    fn worst_case_stress_runs_use_the_configured_slew() {
+        let dom = VoltagePair::low_to_high();
+        let kind = ShifterKind::sstvs();
+        let slow = CharacterizeOptions {
+            input_slew: 400e-12,
+            ..CharacterizeOptions::default()
+        };
+        let worst_fast =
+            characterize_worst_case(&kind, dom, &CharacterizeOptions::default()).unwrap();
+        let worst_slow = characterize_worst_case(&kind, dom, &slow).unwrap();
+        let standard_slow = characterize_switching(&kind, dom, &slow).unwrap();
+        // Stress sequences at 50 ps edges would put the 50 ps answer
+        // back on the rising edge.
+        assert_ne!(worst_slow.delay_rise, worst_fast.delay_rise);
+        assert_ne!(worst_slow.delay_fall, worst_fast.delay_fall);
+        assert!(worst_slow.delay_rise >= standard_slow.delay_rise);
+        assert!(worst_slow.delay_fall >= standard_slow.delay_fall);
+    }
+
+    #[test]
+    fn switching_half_is_bitwise_the_full_protocols() {
+        let opts = CharacterizeOptions::default();
+        let dom = VoltagePair::high_to_low();
+        let kind = ShifterKind::sstvs();
+        let full = characterize(&kind, dom, &opts).unwrap();
+        let s = characterize_switching(&kind, dom, &opts).unwrap();
+        let bits = |t: f64| t.to_bits();
+        assert_eq!(bits(s.delay_rise.value()), bits(full.delay_rise.value()));
+        assert_eq!(bits(s.delay_fall.value()), bits(full.delay_fall.value()));
+        assert_eq!(bits(s.power_rise.value()), bits(full.power_rise.value()));
+        assert_eq!(bits(s.power_fall.value()), bits(full.power_fall.value()));
+        assert_eq!(s.functional, full.functional);
+    }
+
+    #[test]
+    fn the_input_low_hold_resumes_from_the_shared_prefix_bitwise() {
+        let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let opts = CharacterizeOptions::default();
+        let sim = hold_sim(&opts);
+        for kind in [ShifterKind::sstvs(), ShifterKind::combined()] {
+            for dom in [VoltagePair::low_to_high(), VoltagePair::high_to_low()] {
+                let label = format!("{} at {dom:?}", kind.label());
+                let low = hold_harness(&kind, dom, &opts, false, None);
+                let high = run_transient(
+                    &hold_harness(&kind, dom, &opts, true, None).circuit,
+                    HOLD_END,
+                    &sim,
+                )
+                .unwrap();
+                let low_full = run_transient(&low.circuit, HOLD_END, &sim).unwrap();
+
+                // The premise: both holds agree bitwise up to 5 ns.
+                let (t0, x0) = high.state_at(HOLD_PREFIX_END).unwrap();
+                let k = high.times().iter().position(|&t| t == t0).unwrap();
+                assert_eq!(
+                    bits(&high.times()[..=k]),
+                    bits(&low_full.times()[..=k]),
+                    "{label}"
+                );
+                for &t in &high.times()[..=k] {
+                    let (xh, xl) = (high.state_at(t).unwrap().1, low_full.state_at(t).unwrap().1);
+                    assert_eq!(bits(xh), bits(xl), "{label}: prefix sample at {t:e} s");
+                }
+
+                // The resumed input-low hold is the full one from 5 ns on.
+                let resumed = run_transient_from(&low.circuit, t0, x0, HOLD_END, &sim).unwrap();
+                assert_eq!(
+                    bits(&low_full.times()[k..]),
+                    bits(resumed.times()),
+                    "{label}"
+                );
+                for &t in resumed.times() {
+                    let (xf, xr) = (
+                        low_full.state_at(t).unwrap().1,
+                        resumed.state_at(t).unwrap().1,
+                    );
+                    assert_eq!(bits(xf), bits(xr), "{label}: resumed sample at {t:e} s");
+                }
+                // So the resume saves exactly the prefix's work.
+                let prefix = run_transient(&low.circuit, HOLD_PREFIX_END, &sim).unwrap();
+                let mut sum = prefix.solver_stats();
+                sum.merge(&resumed.solver_stats());
+                assert_eq!(sum, low_full.solver_stats(), "{label}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use vls_engine::run_transient;
 use vls_runner::RunnerOptions;
 use vls_waveform::{ascii_chart, csv_from_series, Waveform};
 
-use crate::{characterize, CharacterizeOptions, CoreError};
+use crate::{characterize_switching, CharacterizeOptions, CoreError};
 
 /// Figure 5: the SS-TVS timing diagram — input, output and the three
 /// internal nodes the paper plots (`node1`, `node2`, `ctrl`).
@@ -48,7 +48,8 @@ impl TimingDiagram {
 }
 
 /// Regenerates Figure 5 at the given domain pair (the paper's diagram
-/// applies to both scenarios; run it at each).
+/// applies to both scenarios; run it at each), under the standard
+/// stimulus at the configured [`CharacterizeOptions::input_slew`].
 ///
 /// # Errors
 ///
@@ -57,7 +58,8 @@ pub fn figure5(
     domains: VoltagePair,
     options: &CharacterizeOptions,
 ) -> Result<TimingDiagram, CoreError> {
-    let (wave, _, _, t_end) = Harness::standard_stimulus(domains);
+    let (wave, _, _, t_end) =
+        Harness::pulse_stimulus_with_slew(domains, 7e-9, 8.9e-9, options.input_slew);
     let harness = Harness::build(&ShifterKind::sstvs(), domains, wave, options.load_farads);
     let res = run_transient(&harness.circuit, t_end, &options.sim)?;
     let nodes = harness
@@ -92,7 +94,11 @@ pub struct DelaySurface {
     pub rise_ps: Vec<Vec<f64>>,
     /// Falling delay, ps; NaN where the cell failed.
     pub fall_ps: Vec<Vec<f64>>,
-    /// Functionality verdict per grid point.
+    /// Functionality verdict per grid point: the switching verdict of
+    /// [`characterize_switching`], the stimulus run reaching both
+    /// rails. The leakage holds are not run, so a point whose hold
+    /// would not settle (where [`crate::characterize`] fails) can read
+    /// functional here.
     pub functional: Vec<Vec<bool>>,
 }
 
@@ -152,7 +158,10 @@ impl DelaySurface {
 
 /// Sweeps the SS-TVS delay over `VDDI, VDDO ∈ [v_min, v_max]` in steps
 /// of `step` volts (the paper: 0.8–1.4 V; 5 mV steps in the text,
-/// coarser grids are faithful subsamples). Non-translating points are
+/// coarser grids are faithful subsamples). Each point runs only the
+/// stimulus run of the protocol ([`characterize_switching`]); the
+/// delays are bitwise those [`crate::characterize`] reports.
+/// Non-translating points, and points whose stimulus run fails, are
 /// recorded as NaN/non-functional, not errors. VDDI rows are sharded
 /// across workers per `runner`; the surface is identical for every
 /// worker count.
@@ -178,7 +187,7 @@ pub fn delay_surface(
         let mut fall = Vec::with_capacity(n);
         let mut func = Vec::with_capacity(n);
         for &vo in &axis {
-            match characterize(kind, VoltagePair::new(vi, vo), options) {
+            match characterize_switching(kind, VoltagePair::new(vi, vo), options) {
                 Ok(m) if m.functional => {
                     rise.push(m.delay_rise.as_picos());
                     fall.push(m.delay_fall.as_picos());

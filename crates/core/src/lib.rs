@@ -7,7 +7,8 @@
 //! * [`characterize`] — the measurement protocol of Section 4: drive a
 //!   shifter with the standard two-cycle stimulus, extract rise/fall
 //!   delay, rise/fall switching power, and steady-state leakage for
-//!   the output-high and output-low states;
+//!   the output-high and output-low states; [`characterize_switching`]
+//!   runs only its stimulus half (delays, powers, functionality);
 //! * [`experiments`] — one runner per table and figure: Tables 1–2
 //!   (head-to-head vs the combined VS), Tables 3–4 (1000-run Monte
 //!   Carlo), Figure 5 (timing diagram), Figures 8–9 (delay surfaces
@@ -38,8 +39,8 @@ mod meas;
 mod report;
 
 pub use characterize::{
-    characterize, characterize_with, characterize_with_stats, characterize_worst_case, CellMetrics,
-    CharacterizeOptions,
+    characterize, characterize_switching, characterize_with, characterize_with_stats,
+    characterize_worst_case, CellMetrics, CharacterizeOptions, SwitchingMetrics,
 };
 pub use meas::{evaluate_all_meas, evaluate_meas, node_waveform};
 pub use report::{format_comparison_table, format_mc_table};

@@ -8,6 +8,7 @@
 //! * [`run_transient`] — trapezoidal/backward-Euler transient with
 //!   local-truncation-error step control and breakpoint handling, the
 //!   analysis every delay/power number in the paper comes from;
+//!   [`run_transient_from`] resumes one from a stored state;
 //! * [`dc_sweep`] — repeated operating points over a swept source.
 //!
 //! The circuits this workspace characterizes have a few dozen unknowns,
@@ -50,7 +51,7 @@ pub use mna::unknown_count;
 pub use op_report::{op_report, MosRegion, OpEntry, OpReport};
 pub use options::{KernelMode, SimOptions, SolverStructure};
 pub use sweep::{dc_sweep, dc_sweep_with_stats, DcSweepPoint, SweepStats};
-pub use tran::{run_transient, run_transient_uic, TransientResult};
+pub use tran::{run_transient, run_transient_from, run_transient_uic, TransientResult};
 pub use vls_check::CheckLevel;
 pub use vls_fault::{FaultPlan, FaultSession, FaultSite, FaultSpec, LadderStage};
 pub use vls_num::SolverStats;

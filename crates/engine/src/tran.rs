@@ -44,9 +44,22 @@ pub struct TransientResult {
 }
 
 impl TransientResult {
-    /// The sample times, ascending, starting at 0.
+    /// The sample times, ascending, starting at the run's start time:
+    /// 0, or `t0` for a run resumed with [`run_transient_from`].
     pub fn times(&self) -> &[f64] {
         &self.times
+    }
+
+    /// The stored sample at time `t` as `(time, unknowns)`: the exact
+    /// sample time (within the stepper's 1e-21 s breakpoint tolerance
+    /// of `t`) and the full unknown vector there, which is what
+    /// [`run_transient_from`] resumes from. Every source breakpoint the
+    /// run crossed is a stored sample; `None` when no sample lies at
+    /// `t`.
+    pub fn state_at(&self, t: f64) -> Option<(f64, &[f64])> {
+        let k = self.times.partition_point(|&s| s < t - BREAKPOINT_TOL);
+        let &tk = self.times.get(k)?;
+        (tk <= t + BREAKPOINT_TOL).then(|| (tk, self.samples[k].as_slice()))
     }
 
     /// Number of stored samples.
@@ -104,6 +117,10 @@ impl TransientResult {
 /// Integration damping: θ = 0.5 is plain trapezoid, 1.0 is backward
 /// Euler. 0.55 decays plateau ringing while staying near second order.
 const THETA: f64 = 0.55;
+
+/// How close a step end must come to a breakpoint to count as landing
+/// on it, s.
+const BREAKPOINT_TOL: f64 = 1e-21;
 
 /// The step predictor, written into `out`: the linear extrapolation
 /// over a step of `h` through the last two accepted points —
@@ -163,7 +180,67 @@ pub fn run_transient(
     check_tstop(tstop)?;
     let dc: DcSolution = solve_dc_at(circuit, options, 0.0)?;
     let dc_stats = dc.solver_stats();
-    transient_from_state(circuit, tstop, options, dc.unknowns().to_vec(), dc_stats)
+    transient_from_state(
+        circuit,
+        0.0,
+        tstop,
+        options,
+        dc.unknowns().to_vec(),
+        dc_stats,
+    )
+}
+
+/// Resumes a transient at `t0` from `state`, the full unknown vector a
+/// run stored there (see [`TransientResult::state_at`]), and runs it to
+/// `tstop`. The result starts with that sample and counts only the
+/// work after `t0`.
+///
+/// At a breakpoint the stepper keeps no state besides `(t0, state)`: it
+/// restarts at `SimOptions::initial_step` with backward Euler and no
+/// predictor history, and the default `max_step` is still `tstop / 50`.
+/// So resuming at a breakpoint from a stored sample of a run of the
+/// same circuit and `tstop` reproduces that run's later samples bit
+/// for bit on the default dense path, and the counters of the prefix
+/// and the resumed part add up to the whole run's. The circuit may
+/// differ from the stored run's after `t0` (another source waveform,
+/// say): that is how two runs sharing a prefix simulate it once.
+///
+/// # Errors
+///
+/// Reports [`EngineError::BadNetlist`] when `tstop` is not positive and
+/// finite, `t0` is not finite, negative or not before `tstop`, or
+/// `state` is not one value per unknown of `circuit`; otherwise as
+/// [`run_transient`], minus the DC stage.
+pub fn run_transient_from(
+    circuit: &Circuit,
+    t0: f64,
+    state: &[f64],
+    tstop: f64,
+    options: &SimOptions,
+) -> Result<TransientResult, EngineError> {
+    check_tstop(tstop)?;
+    if !(t0.is_finite() && t0 >= 0.0 && t0 < tstop) {
+        return Err(EngineError::BadNetlist(format!(
+            "transient resume time must be finite, non-negative and before the stop time \
+             {tstop}, got {t0}"
+        )));
+    }
+    crate::preflight(circuit, options)?;
+    let n = crate::unknown_count(circuit);
+    if state.len() != n {
+        return Err(EngineError::BadNetlist(format!(
+            "resume state has {} values, the circuit has {n} unknowns",
+            state.len()
+        )));
+    }
+    transient_from_state(
+        circuit,
+        t0,
+        tstop,
+        options,
+        state.to_vec(),
+        SolverStats::default(),
+    )
 }
 
 /// Runs a transient from user-supplied initial conditions instead of
@@ -190,7 +267,7 @@ pub fn run_transient_uic(
             x0[i] = *v;
         }
     }
-    transient_from_state(circuit, tstop, options, x0, SolverStats::default())
+    transient_from_state(circuit, 0.0, tstop, options, x0, SolverStats::default())
 }
 
 /// Refuses a stop time that is not strictly positive and finite.
@@ -204,12 +281,14 @@ fn check_tstop(tstop: f64) -> Result<(), EngineError> {
     }
 }
 
-/// The stepping core shared by the DC-initialized and UIC entry
-/// points. `initial_stats` carries the counters of the DC solve that
-/// produced `initial` (zero for UIC) so the result reports whole-run
-/// totals.
+/// The stepping core shared by the DC-initialized, UIC and resumed
+/// entry points: steps from `initial` at `t0` to `tstop`.
+/// `initial_stats` carries the counters of the DC solve that produced
+/// `initial` (zero for UIC and a resume) so the result reports
+/// whole-run totals.
 fn transient_from_state(
     circuit: &Circuit,
+    t0: f64,
     tstop: f64,
     options: &SimOptions,
     initial: Vec<f64>,
@@ -314,11 +393,11 @@ fn transient_from_state(
     let temp_k = options.temperature.as_kelvin();
     let max_step = options.max_step.unwrap_or(tstop / 50.0);
     let mut h = options.initial_step.min(max_step);
-    let mut t = 0.0f64;
-    let mut use_trap = false; // first step after DC is backward Euler
+    let mut t = t0;
+    let mut use_trap = false; // first step after DC, UIC or a resume is backward Euler
     let mut bp_iter = breakpoints.iter().copied().peekable();
 
-    let mut times = vec![0.0];
+    let mut times = vec![t0];
     let mut samples = vec![x.clone()];
     // History for the predictor.
     let mut x_prevprev: Option<(Vec<f64>, f64)> = None; // (solution, h of last step)
@@ -327,7 +406,7 @@ fn transient_from_state(
 
     let mut companions: Vec<CompanionCap> = Vec::with_capacity(caps.len());
 
-    while t < tstop - 1e-21 {
+    while t < tstop - BREAKPOINT_TOL {
         // Refresh Meyer capacitances at the last accepted solution.
         for m in &mos_refs {
             if let Element::Mosfet {
@@ -368,7 +447,7 @@ fn transient_from_state(
         // Clamp the step to the next breakpoint.
         let next_bp = loop {
             match bp_iter.peek() {
-                Some(&bp) if bp <= t + 1e-21 => {
+                Some(&bp) if bp <= t + BREAKPOINT_TOL => {
                     bp_iter.next();
                 }
                 Some(&bp) => break Some(bp),
@@ -378,7 +457,7 @@ fn transient_from_state(
         let mut h_now = h.min(max_step).min(tstop - t);
         let mut lands_on_bp = false;
         if let Some(bp) = next_bp {
-            if t + h_now >= bp - 1e-21 {
+            if t + h_now >= bp - BREAKPOINT_TOL {
                 h_now = bp - t;
                 lands_on_bp = true;
             }
@@ -887,6 +966,142 @@ mod tests {
         assert_eq!(s.tran_steps, (stormed.len() - 1) as u64);
         assert_eq!(s.rejected_steps, clean.rejected_steps + 3, "{}", s.render());
         assert_eq!(s.injected_faults, 3);
+    }
+
+    /// An inverter driven by a PWL input whose falling corner at
+    /// `RESUME_AT` is a breakpoint, with a full output edge after it.
+    fn pwl_inverter() -> Circuit {
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let inp = c.node("in");
+        let out = c.node("out");
+        c.add_vsource("vdd", vdd, Circuit::GROUND, SourceWaveform::Dc(1.2));
+        let pwl = vec![
+            (0.0, 0.0),
+            (0.5e-9, 0.0),
+            (0.55e-9, 1.2),
+            (RESUME_AT, 1.2),
+            (RESUME_AT + 50e-12, 0.0),
+        ];
+        c.add_vsource("vin", inp, Circuit::GROUND, SourceWaveform::Pwl(pwl));
+        c.add_mosfet(
+            "mp",
+            out,
+            inp,
+            vdd,
+            vdd,
+            MosModel::ptm90_pmos(),
+            MosGeometry::from_microns(0.4, 0.1),
+        );
+        c.add_mosfet(
+            "mn",
+            out,
+            inp,
+            Circuit::GROUND,
+            Circuit::GROUND,
+            MosModel::ptm90_nmos(),
+            MosGeometry::from_microns(0.2, 0.1),
+        );
+        c.add_capacitor("cl", out, Circuit::GROUND, 1e-15);
+        c
+    }
+
+    const RESUME_AT: f64 = 2e-9;
+    const RESUME_TSTOP: f64 = 5e-9;
+
+    #[test]
+    fn resuming_at_a_breakpoint_reproduces_the_uninterrupted_run() {
+        let c = pwl_inverter();
+        let full = run_transient(&c, RESUME_TSTOP, &opts()).unwrap();
+        // The prefix stops at the breakpoint; its max_step is pinned to
+        // the full run's default, which its own tstop would change.
+        let prefix_opts = SimOptions {
+            max_step: Some(RESUME_TSTOP / 50.0),
+            ..opts()
+        };
+        let prefix = run_transient(&c, RESUME_AT, &prefix_opts).unwrap();
+        let (t0, x0) = prefix.state_at(RESUME_AT).expect("breakpoints are samples");
+        assert_eq!(t0.to_bits(), RESUME_AT.to_bits());
+        // The resume keeps the default max_step, tstop / 50.
+        let resumed = run_transient_from(&c, t0, x0, RESUME_TSTOP, &opts()).unwrap();
+
+        // The prefix is the full run up to the breakpoint, and the
+        // resumed run is the rest of it, bit for bit.
+        let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let k = prefix.len() - 1;
+        assert_eq!(full.len(), k + resumed.len());
+        assert_eq!(bits(&full.times[..=k]), bits(prefix.times()));
+        for j in 0..=k {
+            assert_eq!(
+                bits(&full.samples[j]),
+                bits(&prefix.samples[j]),
+                "sample {j}"
+            );
+        }
+        assert_eq!(bits(&full.times[k..]), bits(resumed.times()));
+        for j in 0..resumed.len() {
+            let (xf, xr) = (&full.samples[k + j], &resumed.samples[j]);
+            assert_eq!(bits(xf), bits(xr), "sample {j} after the resume");
+        }
+        // The output switches after the resume, so the equality above
+        // covers an edge, not a flat tail.
+        let out = c.find_node("out").unwrap();
+        assert!(resumed.node_series(out)[0] < 0.05);
+        assert!((resumed.final_voltage(out) - 1.2).abs() < 0.02);
+
+        // The counters add up field by field, steps included.
+        let mut sum = prefix.solver_stats();
+        sum.merge(&resumed.solver_stats());
+        assert_eq!(sum, full.solver_stats());
+        let r = resumed.solver_stats();
+        assert_eq!(r.tran_steps, (resumed.len() - 1) as u64);
+        assert!(r.tran_steps > 0 && r.newton_iters > 0, "{}", r.render());
+    }
+
+    #[test]
+    fn state_at_finds_only_stored_samples() {
+        let c = pwl_inverter();
+        let res = run_transient(&c, RESUME_TSTOP, &opts()).unwrap();
+        let (t, x) = res.state_at(0.0).unwrap();
+        assert_eq!((t, x), (0.0, res.samples[0].as_slice()));
+        let (t, _) = res.state_at(RESUME_TSTOP).unwrap();
+        assert_eq!(t, *res.times().last().unwrap());
+        // Between two samples, and outside the run: nothing stored.
+        let mid = 0.5 * (res.times()[1] + res.times()[2]);
+        assert!(res.state_at(mid).is_none());
+        assert!(res.state_at(-1e-9).is_none());
+        assert!(res.state_at(2.0 * RESUME_TSTOP).is_none());
+    }
+
+    #[test]
+    fn a_bad_resume_is_a_typed_error() {
+        let c = pwl_inverter();
+        let full = run_transient(&c, RESUME_TSTOP, &opts()).unwrap();
+        let (t0, x0) = full.state_at(RESUME_AT).unwrap();
+        let bad_netlist =
+            |r: Result<TransientResult, EngineError>| matches!(r, Err(EngineError::BadNetlist(_)));
+        let short = &x0[1..];
+        let mut long = x0.to_vec();
+        long.push(0.0);
+        for state in [short, long.as_slice(), &[]] {
+            let r = run_transient_from(&c, t0, state, RESUME_TSTOP, &opts());
+            assert!(bad_netlist(r), "state of length {}", state.len());
+        }
+        for t in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1e-9,
+            RESUME_TSTOP,
+            1.0,
+        ] {
+            let r = run_transient_from(&c, t, x0, RESUME_TSTOP, &opts());
+            assert!(bad_netlist(r), "t0 = {t}");
+        }
+        for tstop in [0.0, f64::NAN, f64::INFINITY] {
+            let r = run_transient_from(&c, t0, x0, tstop, &opts());
+            assert!(bad_netlist(r), "tstop = {tstop}");
+        }
     }
 
     #[test]

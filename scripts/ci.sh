@@ -223,4 +223,12 @@ cargo test -q --release
 echo "==> cargo test (vlsbench self-test)"
 cargo test -q --manifest-path crates/bench/src/bin/vlsbench/Cargo.toml
 
+# The workspace-wide fmt and clippy legs above skip the benchmark for
+# the same reason, so it gets its own.
+echo "==> cargo fmt --check (vlsbench)"
+cargo fmt --manifest-path crates/bench/src/bin/vlsbench/Cargo.toml -- --check
+
+echo "==> cargo clippy (vlsbench, deny warnings)"
+cargo clippy --manifest-path crates/bench/src/bin/vlsbench/Cargo.toml --all-targets -- -D warnings
+
 echo "CI green."

@@ -4,7 +4,10 @@
 
 use sstvs::cells::{ShifterKind, VoltagePair};
 use sstvs::flows::experiments::{area, figures, robustness, tables};
-use sstvs::flows::{format_comparison_table, format_mc_table, CharacterizeOptions};
+use sstvs::flows::{
+    characterize, characterize_switching, format_comparison_table, format_mc_table,
+    CharacterizeOptions,
+};
 use sstvs::runner::RunnerOptions;
 
 #[test]
@@ -87,6 +90,48 @@ fn delay_surface_covers_the_grid_with_structure() {
     );
     let csv = s.to_csv();
     assert_eq!(csv.lines().count(), 10);
+}
+
+#[test]
+fn delay_surface_agrees_with_characterize() {
+    // A 2×2 grid whose 0.5 V VDDI row does not translate. The surface
+    // runs only the stimulus half of the protocol; wherever the full
+    // protocol succeeds it must read the same bits.
+    let opts = CharacterizeOptions::default();
+    let kind = ShifterKind::sstvs();
+    let s = figures::delay_surface(&kind, 0.5, 0.8, 0.3, &opts, &RunnerOptions::default());
+    assert_eq!((s.vddi.len(), s.vddo.len()), (2, 2));
+    let (mut agreed, mut stimulus_failures) = (0, 0);
+    for (i, &vi) in s.vddi.iter().enumerate() {
+        for (j, &vo) in s.vddo.iter().enumerate() {
+            let pair = VoltagePair::new(vi, vo);
+            let at = format!("({vi}, {vo}) V");
+            match characterize(&kind, pair, &opts) {
+                Ok(m) => {
+                    assert_eq!(s.functional[i][j], m.functional, "{at}");
+                    if m.functional {
+                        let rise = m.delay_rise.as_picos().to_bits();
+                        let fall = m.delay_fall.as_picos().to_bits();
+                        assert_eq!(s.rise_ps[i][j].to_bits(), rise, "{at}");
+                        assert_eq!(s.fall_ps[i][j].to_bits(), fall, "{at}");
+                    }
+                    agreed += 1;
+                }
+                Err(e) => {
+                    // This grid has no point that fails in a leakage
+                    // hold only: every failure is the stimulus run's.
+                    assert!(
+                        characterize_switching(&kind, pair, &opts).is_err(),
+                        "{at}: {e}"
+                    );
+                    assert!(!s.functional[i][j], "{at}");
+                    assert!(s.rise_ps[i][j].is_nan() && s.fall_ps[i][j].is_nan(), "{at}");
+                    stimulus_failures += 1;
+                }
+            }
+        }
+    }
+    assert_eq!((agreed, stimulus_failures), (2, 2), "{s:?}");
 }
 
 #[test]
