@@ -30,6 +30,6 @@ mod passive;
 mod source;
 
 pub use bypass::{BiasCache, MosBias, MosCapsCache, MosStamp, MosStampCache};
-pub use mosfet::{MosCaps, MosGeometry, MosModel, MosOp, MosPolarity};
+pub use mosfet::{BoundMos, MosCaps, MosGeometry, MosModel, MosOp, MosPolarity};
 pub use passive::{Capacitor, Resistor};
 pub use source::SourceWaveform;

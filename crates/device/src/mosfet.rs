@@ -21,6 +21,10 @@
 //! current and each softplus shares one exponential with its sigmoid.
 //! Central differences survive only as the test oracle.
 //!
+//! An analysis binds each card to its instance's geometry and the
+//! analysis temperature once ([`MosModel::bind`]), which computes every
+//! bias-independent term, and evaluates the [`BoundMos`] at every bias.
+//!
 //! Capacitances follow a smoothed Meyer partition of the intrinsic gate
 //! capacitance plus constant overlap and junction terms. Like SPICE2's
 //! Meyer model this is not exactly charge-conserving; the transient
@@ -404,21 +408,50 @@ impl MosModel {
         self.ids(geom, vg - vs, vd - vs, vs - vb, temp_k)
     }
 
+    /// Binds the card to one instance's geometry and temperature: every
+    /// term of the model that depends on no terminal voltage, computed
+    /// once. An analysis binds each MOSFET when it starts and evaluates
+    /// the bound device at every bias; [`Self::op`] and [`Self::caps`]
+    /// bind on every call.
+    pub fn bind(&self, geom: &MosGeometry, temp_k: f64) -> BoundMos {
+        let phi_t = BOLTZMANN * temp_k / ELECTRON_CHARGE;
+        let lr = self.dibl_lref / geom.length;
+        let dibl_eff = self.dibl * lr * lr;
+        let kp_t = self.kp * (temp_k / self.tnom).powf(self.mu_exp);
+        BoundMos {
+            sign: match self.polarity {
+                MosPolarity::Nmos => 1.0,
+                MosPolarity::Pmos => -1.0,
+            },
+            vt_t: self.vt0 - self.vt_tc * (temp_k - self.tnom),
+            gamma: self.gamma,
+            phi: self.phi,
+            sqrt_phi: self.phi.sqrt(),
+            dibl_eff,
+            n: self.n,
+            inv_n: 1.0 / self.n,
+            dibl_n: dibl_eff / self.n,
+            two_n: 2.0 * self.n,
+            theta: self.theta,
+            lambda: self.lambda,
+            phi_t,
+            n_phi_t: self.n * phi_t,
+            two_phi_t: 2.0 * phi_t,
+            kp_wl: kp_t * (geom.width / geom.length),
+            cox_total: self.cox * geom.width * geom.length,
+            ov_gd: self.cgdo * geom.width,
+            ov_gs: self.cgso * geom.width,
+            cj: self.cj * geom.width,
+        }
+    }
+
     /// Operating point: current plus conductances for the Newton
     /// iteration, from absolute terminal voltages. The current is
     /// bitwise [`Self::ids_terminal`]; the conductances are the analytic
-    /// partial derivatives of that same expression (one model walk, 3
-    /// `exp` + 3 `ln_1p`).
+    /// partial derivatives of that same expression. Binds the card on
+    /// every call; see [`BoundMos::op`].
     pub fn op(&self, geom: &MosGeometry, vg: f64, vd: f64, vs: f64, vb: f64, temp_k: f64) -> MosOp {
-        let (id, di_dvgs, di_dvds, di_dvsb) = self.ids_d(geom, vg - vs, vd - vs, vs - vb, temp_k);
-        // Terminal map: vgs = vg−vs, vds = vd−vs, vsb = vs−vb, so
-        // gm = ∂/∂vgs, gds = ∂/∂vds, gmb = ∂/∂vb = −∂/∂vsb.
-        MosOp {
-            id,
-            gm: di_dvgs,
-            gds: di_dvds,
-            gmb: -di_dvsb,
-        }
+        self.bind(geom, temp_k).op(vg, vd, vs, vb)
     }
 
     /// Same as [`Self::op`], which is analytic too; kept as a name for
@@ -435,29 +468,111 @@ impl MosModel {
         self.op(geom, vg, vd, vs, vb, temp_k)
     }
 
-    /// Canonical current *and* its partial derivatives with respect to
-    /// `(vgs, vds, vsb)`, for `vds ≥ 0` in the NMOS frame. The value is
-    /// computed by the same operation sequence as [`Self::ids_canonical`]
-    /// so it is bitwise identical; the partials come from the chain
-    /// rule, each softplus sharing its exponential with its sigmoid.
-    fn ids_canonical_d(
+    /// Meyer-style capacitances at an operating point, from absolute
+    /// terminal voltages. Binds the card on every call; see
+    /// [`BoundMos::caps`].
+    pub fn caps(
         &self,
         geom: &MosGeometry,
-        vgs: f64,
-        vds: f64,
-        vsb: f64,
+        vg: f64,
+        vd: f64,
+        vs: f64,
+        vb: f64,
         temp_k: f64,
-    ) -> (f64, f64, f64, f64) {
+    ) -> MosCaps {
+        self.bind(geom, temp_k).caps(vg, vd, vs, vb)
+    }
+}
+
+/// A MOSFET card bound to one instance's geometry and temperature by
+/// [`MosModel::bind`]: the bias-independent terms of the model, each
+/// computed by the same operations the per-bias expressions used, so a
+/// bound evaluation is bitwise the unbound one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BoundMos {
+    /// `+1` for NMOS, `−1` for PMOS: maps terminal voltages into the
+    /// NMOS frame and the frame current back.
+    sign: f64,
+    /// Zero-bias threshold at temperature, `vt0 − vt_tc·(T − Tnom)`.
+    vt_t: f64,
+    gamma: f64,
+    phi: f64,
+    /// `√φ`.
+    sqrt_phi: f64,
+    /// DIBL coefficient at this length, `dibl·(dibl_lref/L)²`.
+    dibl_eff: f64,
+    n: f64,
+    /// `1/n = ∂V_P/∂V_GS`.
+    inv_n: f64,
+    /// `dibl_eff/n = ∂V_P/∂V_DS`.
+    dibl_n: f64,
+    /// `2·n`.
+    two_n: f64,
+    theta: f64,
+    lambda: f64,
+    /// Thermal voltage `kT/q`.
+    phi_t: f64,
+    /// `n·φt`.
+    n_phi_t: f64,
+    /// `2·φt`.
+    two_phi_t: f64,
+    /// `kp·(T/Tnom)^μ·(W/L)`.
+    kp_wl: f64,
+    /// Intrinsic gate capacitance `Cox·W·L`.
+    cox_total: f64,
+    /// Gate–drain overlap capacitance.
+    ov_gd: f64,
+    /// Gate–source overlap capacitance.
+    ov_gs: f64,
+    /// Junction capacitance of each of drain and source.
+    cj: f64,
+}
+
+impl BoundMos {
+    /// Operating point from absolute terminal voltages: the current
+    /// entering the drain and its analytic partial derivatives (one
+    /// model walk, 3 `exp` + 3 `ln_1p`). The current is bitwise
+    /// [`MosModel::ids_terminal`] of the bound card, geometry and
+    /// temperature.
+    pub fn op(&self, vg: f64, vd: f64, vs: f64, vb: f64) -> MosOp {
+        // NMOS frame. For PMOS every argument and the current are
+        // negated, so the partial-derivative signs cancel.
+        let vgs = self.sign * (vg - vs);
+        let vds = self.sign * (vd - vs);
+        let vsb = self.sign * (vs - vb);
+        let (id, di_dvgs, di_dvds, di_dvsb) = if vds >= 0.0 {
+            self.canonical(vgs, vds, vsb)
+        } else {
+            // Drain/source swap: with canonical partials (c1, c2, c3)
+            // at (vgs−vds, −vds, vsb+vds) and the negated current, the
+            // chain rule gives (−c1, c1+c2−c3, −c3).
+            let (i, c1, c2, c3) = self.canonical(vgs - vds, -vds, vsb + vds);
+            (-i, -c1, c1 + c2 - c3, -c3)
+        };
+        // Terminal map: vgs = vg−vs, vds = vd−vs, vsb = vs−vb, so
+        // gm = ∂/∂vgs, gds = ∂/∂vds, gmb = ∂/∂vb = −∂/∂vsb.
+        MosOp {
+            id: self.sign * id,
+            gm: di_dvgs,
+            gds: di_dvds,
+            gmb: -di_dvsb,
+        }
+    }
+
+    /// Canonical current and its partial derivatives with respect to
+    /// `(vgs, vds, vsb)`, for `vds ≥ 0` in the NMOS frame. The value
+    /// takes the operation sequence of [`MosModel::ids`], so it is
+    /// bitwise identical; the partials come from the chain rule, each
+    /// softplus sharing its exponential with its sigmoid.
+    fn canonical(&self, vgs: f64, vds: f64, vsb: f64) -> (f64, f64, f64, f64) {
         debug_assert!(vds >= 0.0);
-        let phi_t = BOLTZMANN * temp_k / ELECTRON_CHARGE;
-        // vt_eff, with the body-effect clamp differentiated
+        let phi_t = self.phi_t;
+        // Threshold, with the body-effect clamp differentiated
         // branch-for-branch (inside the clamp the derivative is zero).
         let shifted = self.phi + vsb;
         let clamped = shifted.max(1e-3);
-        let body = self.gamma * (clamped.sqrt() - self.phi.sqrt());
-        let lr = self.dibl_lref / geom.length;
-        let dibl_eff = self.dibl * lr * lr;
-        let vt = self.vt0 - self.vt_tc * (temp_k - self.tnom) + body - dibl_eff * vds;
+        let body = self.gamma * (clamped.sqrt() - self.sqrt_phi);
+        let vt = self.vt_t + body - self.dibl_eff * vds;
         let dvt_dvsb = if shifted > 1e-3 {
             self.gamma / (2.0 * clamped.sqrt())
         } else {
@@ -467,11 +582,10 @@ impl MosModel {
         let vp = (vgs - vt) / self.n;
         let u = vp / phi_t;
         let (sp_u, sig_u) = softplus_sigmoid(u);
-        let vov = self.n * phi_t * sp_u;
-        let kp_t = self.kp * (temp_k / self.tnom).powf(self.mu_exp);
+        let vov = self.n_phi_t * sp_u;
         let denom = 1.0 + self.theta * vov;
-        let beta = kp_t * (geom.width / geom.length) / denom;
-        let i0 = 2.0 * self.n * beta * phi_t * phi_t;
+        let beta = self.kp_wl / denom;
+        let i0 = self.two_n * beta * phi_t * phi_t;
         let ur = (vp - vds) / phi_t;
         // F(x) = softplus(x/2)², as in `ekv_f`.
         let (sp_f, sig_f) = softplus_sigmoid(u / 2.0);
@@ -485,108 +599,48 @@ impl MosModel {
         // vds dependence of the reverse term and the CLM factor:
         //   F'(x) = softplus(x/2)·σ(x/2)   (F = softplus(x/2)²)
         //   vov'  = n·σ(u) per unit vp, which degrades beta (and i0).
-        let dvp_dvgs = 1.0 / self.n;
-        let dvp_dvds = dibl_eff / self.n;
         let dvp_dvsb = -dvt_dvsb / self.n;
         let dfwd_du = sp_f * sig_f;
         let drev_dur = sp_r * sig_r;
         let dvov_dvp = self.n * sig_u;
         let di0_dvp = -i0 * self.theta * dvov_dvp / denom;
         let di_dvp = (di0_dvp * (fwd - rev) + i0 * (dfwd_du - drev_dur) / phi_t) * clm;
-        let di_dvgs = di_dvp * dvp_dvgs;
+        let di_dvgs = di_dvp * self.inv_n;
         let di_dvsb = di_dvp * dvp_dvsb;
         let di_dvds =
-            di_dvp * dvp_dvds + i0 * (drev_dur / phi_t) * clm + i0 * (fwd - rev) * self.lambda;
+            di_dvp * self.dibl_n + i0 * (drev_dur / phi_t) * clm + i0 * (fwd - rev) * self.lambda;
         (i, di_dvgs, di_dvds, di_dvsb)
-    }
-
-    /// NMOS-frame current + partials with the drain/source swap for
-    /// negative `vds` (mirrors [`Self::ids_oriented`]). With canonical
-    /// partials `(c1, c2, c3)` at the swapped arguments and the negated
-    /// current, the chain rule through `(vgs−vds, −vds, vsb+vds)` gives
-    /// `(−c1, c1+c2−c3, −c3)`.
-    fn ids_oriented_d(
-        &self,
-        geom: &MosGeometry,
-        vgs: f64,
-        vds: f64,
-        vsb: f64,
-        temp_k: f64,
-    ) -> (f64, f64, f64, f64) {
-        if vds >= 0.0 {
-            self.ids_canonical_d(geom, vgs, vds, vsb, temp_k)
-        } else {
-            let (i, c1, c2, c3) = self.ids_canonical_d(geom, vgs - vds, -vds, vsb + vds, temp_k);
-            (-i, -c1, c1 + c2 - c3, -c3)
-        }
-    }
-
-    /// Polarity dispatch for current + partials (mirrors [`Self::ids`]).
-    /// For PMOS both the current and every argument are negated, so the
-    /// partial-derivative signs cancel: the derivatives are the oriented
-    /// partials evaluated at the negated arguments.
-    fn ids_d(
-        &self,
-        geom: &MosGeometry,
-        vgs: f64,
-        vds: f64,
-        vsb: f64,
-        temp_k: f64,
-    ) -> (f64, f64, f64, f64) {
-        match self.polarity {
-            MosPolarity::Nmos => self.ids_oriented_d(geom, vgs, vds, vsb, temp_k),
-            MosPolarity::Pmos => {
-                let (i, g1, g2, g3) = self.ids_oriented_d(geom, -vgs, -vds, -vsb, temp_k);
-                (-i, g1, g2, g3)
-            }
-        }
     }
 
     /// Meyer-style capacitances at an operating point, from absolute
     /// terminal voltages.
-    pub fn caps(
-        &self,
-        geom: &MosGeometry,
-        vg: f64,
-        vd: f64,
-        vs: f64,
-        vb: f64,
-        temp_k: f64,
-    ) -> MosCaps {
+    pub fn caps(&self, vg: f64, vd: f64, vs: f64, vb: f64) -> MosCaps {
         // Work in the NMOS frame.
-        let sign = match self.polarity {
-            MosPolarity::Nmos => 1.0,
-            MosPolarity::Pmos => -1.0,
-        };
-        let mut vgs = sign * (vg - vs);
-        let mut vds = sign * (vd - vs);
-        let mut vsb = sign * (vs - vb);
+        let mut vgs = self.sign * (vg - vs);
+        let mut vds = self.sign * (vd - vs);
+        let mut vsb = self.sign * (vs - vb);
         let swapped = vds < 0.0;
         if swapped {
             vgs -= vds;
             vsb += vds;
             vds = -vds;
         }
-        let phi_t = BOLTZMANN * temp_k / ELECTRON_CHARGE;
-        let vt = self.vt_eff(geom, vsb, vds, temp_k);
+        let phi_t = self.phi_t;
+        let body = self.gamma * ((self.phi + vsb).max(1e-3).sqrt() - self.sqrt_phi);
+        let vt = self.vt_t + body - self.dibl_eff * vds;
         let vp = (vgs - vt) / self.n;
-        let vov = self.n * phi_t * softplus(vp / phi_t);
+        let vov = self.n_phi_t * softplus(vp / phi_t);
 
-        let cox_total = self.cox * geom.width * geom.length;
         // Inversion factor: 0 deep below threshold, → 1 in strong inversion.
-        let inv = vov / (vov + 2.0 * phi_t);
+        let inv = vov / (vov + self.two_phi_t);
         // Saturation factor: 0 in triode (vds ≈ 0), → 1 deep in saturation.
         let sat = vds / (vds + vov + phi_t);
         // Meyer partition: triode ½/½, saturation ⅔/0, smooth in between.
-        let cgs_i = cox_total * inv * (0.5 + sat / 6.0);
-        let cgd_i = cox_total * inv * 0.5 * (1.0 - sat);
-        let cgb_i = cox_total * (1.0 - inv) * 0.7;
+        let cgs_i = self.cox_total * inv * (0.5 + sat / 6.0);
+        let cgd_i = self.cox_total * inv * 0.5 * (1.0 - sat);
+        let cgb_i = self.cox_total * (1.0 - inv) * 0.7;
 
-        let ov_gd = self.cgdo * geom.width;
-        let ov_gs = self.cgso * geom.width;
-        let cj = self.cj * geom.width;
-
-        let (mut cgs, mut cgd) = (cgs_i + ov_gs, cgd_i + ov_gd);
+        let (mut cgs, mut cgd) = (cgs_i + self.ov_gs, cgd_i + self.ov_gd);
         if swapped {
             core::mem::swap(&mut cgs, &mut cgd);
         }
@@ -594,8 +648,8 @@ impl MosModel {
             cgs,
             cgd,
             cgb: cgb_i,
-            cdb: cj,
-            csb: cj,
+            cdb: self.cj,
+            csb: self.cj,
         }
     }
 }

@@ -132,23 +132,25 @@ pub fn run_ac(
 
     // DC operating point and the small-signal conductance matrix G.
     let dc = solve_dc(circuit, options)?;
-    let mna = Mna::new(circuit);
+    let mna = Mna::new(circuit, options.temperature.as_kelvin());
     let n = mna.n_unknowns;
+    let x = dc.unknowns();
     let mut g_trip = TripletMatrix::new(n);
     let mut b_unused = vec![0.0; n];
     let ctx = StampCtx {
         time: 0.0,
         source_scale: 1.0,
         gmin: options.gmin,
-        temp_k: options.temperature.as_kelvin(),
         reactive: None,
     };
-    mna.assemble(dc.unknowns(), &mut g_trip, &mut b_unused, &ctx);
+    mna.assemble(x, &mut g_trip, &mut b_unused, &ctx);
     let mut csc_scratch: Vec<(usize, f64)> = Vec::new();
     let g = g_trip.to_csc_with(&mut csc_scratch);
 
-    // Capacitance stamps: explicit caps plus Meyer caps at the op.
+    // Capacitance stamps: explicit caps plus Meyer caps at the op, in
+    // element order.
     let mut caps: Vec<(Option<usize>, Option<usize>, f64)> = Vec::new();
+    let mut mosfets = mna.mosfets().iter();
     for e in circuit.elements() {
         match e {
             Element::Capacitor {
@@ -156,34 +158,12 @@ pub fn run_ac(
             } if capacitor.capacitance() > 0.0 => {
                 caps.push((mna.idx(*a), mna.idx(*b), capacitor.capacitance()));
             }
-            Element::Mosfet {
-                drain,
-                gate,
-                source,
-                bulk,
-                model,
-                geom,
-                ..
-            } => {
-                let x = dc.unknowns();
-                let vg = mna.voltage(x, *gate);
-                let vd = mna.voltage(x, *drain);
-                let vs = mna.voltage(x, *source);
-                let vb = mna.voltage(x, *bulk);
-                let mc = model.caps(geom, vg, vd, vs, vb, options.temperature.as_kelvin());
-                let (d, gt, s, bk) = (
-                    mna.idx(*drain),
-                    mna.idx(*gate),
-                    mna.idx(*source),
-                    mna.idx(*bulk),
-                );
-                for (na, nb, c) in [
-                    (gt, s, mc.cgs),
-                    (gt, d, mc.cgd),
-                    (gt, bk, mc.cgb),
-                    (d, bk, mc.cdb),
-                    (s, bk, mc.csb),
-                ] {
+            Element::Mosfet { .. } => {
+                let m = mosfets.next().expect("one compiled MOSFET per element");
+                let bias = m.bias(x);
+                let mc = m.dev.caps(bias.vg, bias.vd, bias.vs, bias.vb);
+                let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
+                for ((na, nb), c) in m.cap_pairs().into_iter().zip(values) {
                     if c > 0.0 {
                         caps.push((na, nb, c));
                     }

@@ -344,13 +344,12 @@ pub(crate) fn solve_dc_at_guess(
     guess: Option<&[f64]>,
 ) -> Result<(DcSolution, DcSolveStats), EngineError> {
     crate::preflight(circuit, options)?;
-    let mna = Mna::new(circuit);
+    let mna = Mna::new(circuit, options.temperature.as_kelvin());
     let n = mna.n_unknowns;
     let ctx = |gmin: f64, scale: f64| StampCtx {
         time,
         source_scale: scale,
         gmin,
-        temp_k: options.temperature.as_kelvin(),
         reactive: None,
     };
 

@@ -30,7 +30,7 @@
 //! identical to the legacy path, so results match to the last bit; the
 //! equivalence suite in `tests/newton_kernel.rs` pins this.
 
-use vls_device::{MosBias, MosCaps, MosCapsCache, MosGeometry, MosModel, MosStamp, MosStampCache};
+use vls_device::{BoundMos, MosBias, MosCaps, MosCapsCache, MosStamp, MosStampCache};
 use vls_fault::FaultSession;
 use vls_num::{
     invert_permutation, is_identity, weighted_converged, CscMatrix, DenseLu, DenseMatrix,
@@ -176,9 +176,10 @@ pub(crate) struct NewtonKernel<'m, 'c> {
     x_new: Vec<f64>,
     /// Damped-update workspace for the convergence test.
     delta: Vec<f64>,
-    /// Per-element MOSFET linearization caches (indexed by element).
+    /// Per-MOSFET linearization caches (indexed like `Mna::mosfets`).
     stamp_caches: Vec<MosStampCache>,
-    /// Per-element Meyer capacitance caches (indexed by element).
+    /// Per-MOSFET Meyer capacitance caches (indexed like
+    /// `Mna::mosfets`).
     cap_caches: Vec<MosCapsCache>,
     stats: SolverStats,
 }
@@ -206,10 +207,9 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                 time: 0.0,
                 source_scale: 0.0,
                 gmin: options.gmin,
-                temp_k: options.temperature.as_kelvin(),
                 reactive: reactive_probe,
             };
-            mna.assemble_with_eval(&x0, &mut t, &mut b, &probe_ctx, &mut |_, _, _, _| {
+            mna.assemble_with_eval(&x0, &mut t, &mut b, &probe_ctx, &mut |_, _, _| {
                 MosStamp::default()
             });
             match options.structure {
@@ -272,7 +272,7 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                 lu: DenseLu::empty(),
             }
         };
-        let n_elems = mna.element_count();
+        let n_mos = mna.mosfets().len();
         Self {
             mna,
             path,
@@ -280,8 +280,8 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
             x: Vec::with_capacity(n),
             x_new: vec![0.0; n],
             delta: vec![0.0; n],
-            stamp_caches: vec![MosStampCache::new(); n_elems],
-            cap_caches: vec![MosCapsCache::new(); n_elems],
+            stamp_caches: vec![MosStampCache::new(); n_mos],
+            cap_caches: vec![MosCapsCache::new(); n_mos],
             stats: SolverStats::default(),
         }
     }
@@ -296,20 +296,18 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
     /// always evaluates.
     pub fn eval_caps(
         &mut self,
-        elem_idx: usize,
-        model: &MosModel,
-        geom: &MosGeometry,
+        mos_idx: usize,
+        dev: &BoundMos,
         bias: MosBias,
-        temp_k: f64,
         bypass_tol: f64,
     ) -> MosCaps {
-        if let Some(c) = self.cap_caches[elem_idx].lookup(&bias, bypass_tol) {
+        if let Some(c) = self.cap_caches[mos_idx].lookup(&bias, bypass_tol) {
             self.stats.cap_bypasses += 1;
             return c;
         }
-        let c = model.caps(geom, bias.vg, bias.vd, bias.vs, bias.vb, temp_k);
+        let c = dev.caps(bias.vg, bias.vd, bias.vs, bias.vb);
         if bypass_tol > 0.0 {
-            self.cap_caches[elem_idx].store(bias, c);
+            self.cap_caches[mos_idx].store(bias, c);
         }
         self.stats.cap_evals += 1;
         c
@@ -370,24 +368,21 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
             } = self;
             b.fill(0.0);
             let mut bypassed = false;
-            let temp_k = ctx.temp_k;
-            let mut eval =
-                |elem_idx: usize, model: &MosModel, geom: &MosGeometry, bias: MosBias| {
-                    if allow_bypass {
-                        if let Some(s) = stamp_caches[elem_idx].lookup(&bias, bypass_tol) {
-                            stats.device_bypasses += 1;
-                            bypassed = true;
-                            return s;
-                        }
+            let mut eval = |mos_idx: usize, dev: &BoundMos, bias: MosBias| {
+                if allow_bypass {
+                    if let Some(s) = stamp_caches[mos_idx].lookup(&bias, bypass_tol) {
+                        stats.device_bypasses += 1;
+                        bypassed = true;
+                        return s;
                     }
-                    let op = model.op(geom, bias.vg, bias.vd, bias.vs, bias.vb, temp_k);
-                    let s = MosStamp::from_op(&op, &bias);
-                    if bypass_tol > 0.0 {
-                        stamp_caches[elem_idx].store(bias, s);
-                    }
-                    stats.device_evals += 1;
-                    s
-                };
+                }
+                let s = MosStamp::from_op(&dev.op(bias.vg, bias.vd, bias.vs, bias.vb), &bias);
+                if bypass_tol > 0.0 {
+                    stamp_caches[mos_idx].store(bias, s);
+                }
+                stats.device_evals += 1;
+                s
+            };
             match path {
                 LinearPath::Dense { a, lu } => {
                     a.clear();
@@ -641,7 +636,7 @@ pub struct IslandReport {
 /// kernel, so the report matches what a DC solve with
 /// [`SolverStructure::Islands`] actually builds.
 pub fn island_report(circuit: &vls_netlist::Circuit, options: &SimOptions) -> IslandReport {
-    let mna = Mna::new(circuit);
+    let mna = Mna::new(circuit, options.temperature.as_kelvin());
     let n = mna.n_unknowns;
     let mut t = TripletMatrix::new(n);
     let mut b = vec![0.0; n];
@@ -650,10 +645,9 @@ pub fn island_report(circuit: &vls_netlist::Circuit, options: &SimOptions) -> Is
         time: 0.0,
         source_scale: 0.0,
         gmin: options.gmin,
-        temp_k: options.temperature.as_kelvin(),
         reactive: None,
     };
-    mna.assemble_with_eval(&x0, &mut t, &mut b, &probe_ctx, &mut |_, _, _, _| {
+    mna.assemble_with_eval(&x0, &mut t, &mut b, &probe_ctx, &mut |_, _, _| {
         MosStamp::default()
     });
     let (pattern, _) = t.compile();

@@ -7,8 +7,12 @@
 //! equivalent current source evaluated at the current iterate, exactly
 //! the companion-model formulation SPICE uses. The KCL residual at the
 //! iterate is then simply `A·x − b`.
+//!
+//! [`Mna::new`] compiles the circuit once per analysis: every element's
+//! terminal unknowns and constants, with each MOSFET's card bound to its
+//! geometry and the analysis temperature. Assembly reads that table.
 
-use vls_device::{MosBias, MosGeometry, MosModel, MosStamp};
+use vls_device::{BoundMos, MosBias, MosStamp, SourceWaveform};
 use vls_netlist::{Circuit, Element, NodeId};
 use vls_num::{DenseMatrix, TripletMatrix};
 
@@ -58,39 +62,142 @@ pub(crate) struct StampCtx<'a> {
     pub source_scale: f64,
     /// Node-to-ground conductance floor.
     pub gmin: f64,
-    /// Device temperature, K.
-    pub temp_k: f64,
     /// Companion models for this step; `None` means DC (capacitors
     /// open, MOS capacitances ignored).
     pub reactive: Option<&'a [CompanionCap]>,
 }
 
-/// Precomputed unknown numbering for one circuit.
+/// A MOSFET compiled for assembly: its terminal unknowns (`None` for
+/// ground) and its card bound to its geometry and the analysis
+/// temperature.
+pub(crate) struct MosInstance {
+    pub d: Option<usize>,
+    pub g: Option<usize>,
+    pub s: Option<usize>,
+    pub b: Option<usize>,
+    pub dev: BoundMos,
+}
+
+impl MosInstance {
+    /// The terminal voltages at unknown vector `x`.
+    pub fn bias(&self, x: &[f64]) -> MosBias {
+        let v = |i: Option<usize>| i.map_or(0.0, |i| x[i]);
+        MosBias::new(v(self.g), v(self.d), v(self.s), v(self.b))
+    }
+
+    /// The node pairs of the five Meyer capacitances, in the order of
+    /// the `MosCaps` fields: gs, gd, gb, db, sb.
+    pub fn cap_pairs(&self) -> [(Option<usize>, Option<usize>); 5] {
+        [
+            (self.g, self.s),
+            (self.g, self.d),
+            (self.g, self.b),
+            (self.d, self.b),
+            (self.s, self.b),
+        ]
+    }
+}
+
+/// One element compiled for assembly. Capacitors stamp only through
+/// the companion models of `StampCtx::reactive`, so they have none.
+enum Stamp<'c> {
+    Conductance {
+        a: Option<usize>,
+        b: Option<usize>,
+        g: f64,
+    },
+    VoltageSource {
+        pos: Option<usize>,
+        neg: Option<usize>,
+        branch: usize,
+        wave: &'c SourceWaveform,
+    },
+    CurrentSource {
+        pos: Option<usize>,
+        neg: Option<usize>,
+        wave: &'c SourceWaveform,
+    },
+    /// Index into [`Mna::mosfets`].
+    Mosfet(usize),
+}
+
+/// One circuit compiled for assembly at one temperature: the unknown
+/// numbering, and every element's terminal unknowns and constants in
+/// element order (the order assembly stamps in).
 pub(crate) struct Mna<'c> {
     circuit: &'c Circuit,
     n_node_unknowns: usize,
     /// Branch unknown per element index (voltage sources only).
     branch_of: Vec<Option<usize>>,
+    stamps: Vec<Stamp<'c>>,
+    mosfets: Vec<MosInstance>,
     pub n_unknowns: usize,
 }
 
 impl<'c> Mna<'c> {
-    pub fn new(circuit: &'c Circuit) -> Self {
+    /// Numbers the unknowns of `circuit` and compiles its elements,
+    /// binding every MOSFET at `temp_k` kelvin.
+    pub fn new(circuit: &'c Circuit, temp_k: f64) -> Self {
         let n_node_unknowns = circuit.node_count() - 1;
+        let idx = |n: NodeId| (!n.is_ground()).then(|| n.index() - 1);
         let mut branch_of = Vec::with_capacity(circuit.elements().len());
+        let mut stamps = Vec::with_capacity(circuit.elements().len());
+        let mut mosfets = Vec::new();
         let mut next = n_node_unknowns;
         for e in circuit.elements() {
-            if e.needs_branch_current() {
-                branch_of.push(Some(next));
+            let branch = e.needs_branch_current().then(|| {
                 next += 1;
-            } else {
-                branch_of.push(None);
+                next - 1
+            });
+            branch_of.push(branch);
+            match e {
+                Element::Resistor { a, b, resistor, .. } => stamps.push(Stamp::Conductance {
+                    a: idx(*a),
+                    b: idx(*b),
+                    g: resistor.conductance(),
+                }),
+                Element::Capacitor { .. } => {}
+                Element::VoltageSource { pos, neg, wave, .. } => {
+                    stamps.push(Stamp::VoltageSource {
+                        pos: idx(*pos),
+                        neg: idx(*neg),
+                        branch: branch.expect("vsource has a branch"),
+                        wave,
+                    })
+                }
+                Element::CurrentSource { pos, neg, wave, .. } => {
+                    stamps.push(Stamp::CurrentSource {
+                        pos: idx(*pos),
+                        neg: idx(*neg),
+                        wave,
+                    })
+                }
+                Element::Mosfet {
+                    drain,
+                    gate,
+                    source,
+                    bulk,
+                    model,
+                    geom,
+                    ..
+                } => {
+                    stamps.push(Stamp::Mosfet(mosfets.len()));
+                    mosfets.push(MosInstance {
+                        d: idx(*drain),
+                        g: idx(*gate),
+                        s: idx(*source),
+                        b: idx(*bulk),
+                        dev: model.bind(geom, temp_k),
+                    });
+                }
             }
         }
         Self {
             circuit,
             n_node_unknowns,
             branch_of,
+            stamps,
+            mosfets,
             n_unknowns: next,
         }
     }
@@ -116,10 +223,10 @@ impl<'c> Mna<'c> {
         self.n_node_unknowns
     }
 
-    /// The number of circuit elements (the symbolic kernel sizes its
-    /// per-element bypass caches from this).
-    pub fn element_count(&self) -> usize {
-        self.branch_of.len()
+    /// The compiled MOSFETs, in element order. Assembly passes a
+    /// MOSFET's index here to the evaluator.
+    pub fn mosfets(&self) -> &[MosInstance] {
+        &self.mosfets
     }
 
     /// The human name of unknown `i`: the circuit node name for voltage
@@ -173,14 +280,6 @@ impl<'c> Mna<'c> {
         out
     }
 
-    /// The node voltage at `n` in an unknown vector.
-    pub fn voltage(&self, x: &[f64], n: NodeId) -> f64 {
-        match self.idx(n) {
-            Some(i) => x[i],
-            None => 0.0,
-        }
-    }
-
     /// Assembles the linearized MNA system at iterate `x` into `a`
     /// (pre-cleared by the caller) and `b` (pre-zeroed), evaluating
     /// every MOSFET directly. Returns the number of MOSFET evaluations
@@ -192,18 +291,16 @@ impl<'c> Mna<'c> {
         b: &mut [f64],
         ctx: &StampCtx,
     ) -> u64 {
-        let temp_k = ctx.temp_k;
         let mut evals = 0;
-        self.assemble_with_eval(x, a, b, ctx, &mut |_, model, geom, bias| {
+        self.assemble_with_eval(x, a, b, ctx, &mut |_, dev, bias| {
             evals += 1;
-            let op = model.op(geom, bias.vg, bias.vd, bias.vs, bias.vb, temp_k);
-            MosStamp::from_op(&op, &bias)
+            MosStamp::from_op(&dev.op(bias.vg, bias.vd, bias.vs, bias.vb), &bias)
         });
         evals
     }
 
     /// [`Mna::assemble`] with the MOSFET evaluation factored out: `eval`
-    /// receives `(element index, model, geometry, bias)` and returns the
+    /// receives `(MOSFET index, bound device, bias)` and returns the
     /// stamp values. This is the hook the symbolic kernel uses for
     /// SPICE3-style device bypass — the caller decides per device
     /// whether to evaluate the model or replay a cached linearization.
@@ -217,7 +314,7 @@ impl<'c> Mna<'c> {
         eval: &mut F,
     ) where
         M: MatrixSink,
-        F: FnMut(usize, &MosModel, &MosGeometry, MosBias) -> MosStamp,
+        F: FnMut(usize, &BoundMos, MosBias) -> MosStamp,
     {
         debug_assert_eq!(x.len(), self.n_unknowns);
         debug_assert_eq!(b.len(), self.n_unknowns);
@@ -243,64 +340,38 @@ impl<'c> Mna<'c> {
             }
         };
 
-        for (elem_idx, e) in self.circuit.elements().iter().enumerate() {
-            match e {
-                Element::Resistor {
-                    a: na,
-                    b: nb,
-                    resistor,
-                    ..
+        for stamp in &self.stamps {
+            match *stamp {
+                Stamp::Conductance { a: na, b: nb, g } => stamp_conductance(a, na, nb, g),
+                Stamp::VoltageSource {
+                    pos,
+                    neg,
+                    branch: br,
+                    wave,
                 } => {
-                    stamp_conductance(a, self.idx(*na), self.idx(*nb), resistor.conductance());
-                }
-                Element::Capacitor { .. } => {
-                    // Fixed capacitors are handled through ctx.reactive
-                    // companion models (open in DC).
-                }
-                Element::VoltageSource { pos, neg, wave, .. } => {
-                    let br = self.branch_of[elem_idx].expect("vsource has a branch");
-                    let (ip, in_) = (self.idx(*pos), self.idx(*neg));
-                    if let Some(i) = ip {
+                    if let Some(i) = pos {
                         a.stamp(i, br, 1.0);
                         a.stamp(br, i, 1.0);
                     }
-                    if let Some(j) = in_ {
+                    if let Some(j) = neg {
                         a.stamp(j, br, -1.0);
                         a.stamp(br, j, -1.0);
                     }
                     b[br] = wave.value_at(ctx.time) * ctx.source_scale;
                 }
-                Element::CurrentSource { pos, neg, wave, .. } => {
+                Stamp::CurrentSource { pos, neg, wave } => {
                     let i_val = wave.value_at(ctx.time) * ctx.source_scale;
-                    if let Some(i) = self.idx(*pos) {
+                    if let Some(i) = pos {
                         b[i] += i_val;
                     }
-                    if let Some(j) = self.idx(*neg) {
+                    if let Some(j) = neg {
                         b[j] -= i_val;
                     }
                 }
-                Element::Mosfet {
-                    drain,
-                    gate,
-                    source,
-                    bulk,
-                    model,
-                    geom,
-                    ..
-                } => {
-                    let (nd, ng, ns, nb) = (
-                        self.idx(*drain),
-                        self.idx(*gate),
-                        self.idx(*source),
-                        self.idx(*bulk),
-                    );
-                    let bias = MosBias::new(
-                        self.voltage(x, *gate),
-                        self.voltage(x, *drain),
-                        self.voltage(x, *source),
-                        self.voltage(x, *bulk),
-                    );
-                    let s = eval(elem_idx, model, geom, bias);
+                Stamp::Mosfet(k) => {
+                    let m = &self.mosfets[k];
+                    let (nd, ng, ns, nb) = (m.d, m.g, m.s, m.b);
+                    let s = eval(k, &m.dev, m.bias(x));
                     // Drain row: current I_D leaves the drain node into
                     // the channel.
                     if let Some(rd) = nd {
@@ -355,7 +426,6 @@ impl<'c> Mna<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vls_device::SourceWaveform;
 
     #[test]
     fn unknown_count_counts_nodes_and_branches() {
@@ -366,7 +436,7 @@ mod tests {
         c.add_vsource("v2", b, Circuit::GROUND, SourceWaveform::Dc(2.0));
         c.add_resistor("r1", a, b, 100.0);
         assert_eq!(unknown_count(&c), 4); // 2 nodes + 2 branches
-        let mna = Mna::new(&c);
+        let mna = Mna::new(&c, 300.15);
         assert_eq!(mna.n_unknowns, 4);
         assert_eq!(mna.idx(Circuit::GROUND), None);
         assert_eq!(mna.idx(a), Some(0));
@@ -384,7 +454,7 @@ mod tests {
         c.add_resistor("r1", vdd, mid, 1000.0);
         c.add_resistor("r2", mid, out, 1000.0);
         c.add_resistor("r3", out, Circuit::GROUND, 1000.0);
-        let mna = Mna::new(&c);
+        let mna = Mna::new(&c, 300.15);
         assert_eq!(mna.unknown_name(0), "vdd");
         assert_eq!(mna.unknown_name(1), "mid");
         assert_eq!(mna.unknown_name(2), "out");
@@ -402,7 +472,7 @@ mod tests {
         c.add_vsource("v1", top, Circuit::GROUND, SourceWaveform::Dc(2.0));
         c.add_resistor("r1", top, mid, 1000.0);
         c.add_resistor("r2", mid, Circuit::GROUND, 1000.0);
-        let mna = Mna::new(&c);
+        let mna = Mna::new(&c, 300.15);
         let n = mna.n_unknowns;
         let mut a = DenseMatrix::zeros(n);
         let mut b = vec![0.0; n];
@@ -411,7 +481,6 @@ mod tests {
             time: 0.0,
             source_scale: 1.0,
             gmin: 0.0,
-            temp_k: 300.15,
             reactive: None,
         };
         mna.assemble(&x, &mut a, &mut b, &ctx);
@@ -437,14 +506,13 @@ mod tests {
         let a_node = c.node("a");
         c.add_isource("i1", a_node, Circuit::GROUND, SourceWaveform::Dc(1e-3));
         c.add_resistor("r1", a_node, Circuit::GROUND, 1000.0);
-        let mna = Mna::new(&c);
+        let mna = Mna::new(&c, 300.15);
         let mut a = DenseMatrix::zeros(1);
         let mut b = vec![0.0];
         let ctx = StampCtx {
             time: 0.0,
             source_scale: 1.0,
             gmin: 0.0,
-            temp_k: 300.15,
             reactive: None,
         };
         mna.assemble(&[0.0], &mut a, &mut b, &ctx);
@@ -458,7 +526,7 @@ mod tests {
         let mut c = Circuit::new();
         let a_node = c.node("a");
         c.add_resistor("r1", a_node, Circuit::GROUND, 1000.0);
-        let mna = Mna::new(&c);
+        let mna = Mna::new(&c, 300.15);
         let caps = [CompanionCap {
             a: Some(0),
             b: None,
@@ -471,7 +539,6 @@ mod tests {
             time: 0.0,
             source_scale: 1.0,
             gmin: 0.0,
-            temp_k: 300.15,
             reactive: Some(&caps),
         };
         mna.assemble(&[0.0], &mut a, &mut b, &ctx);
@@ -485,14 +552,13 @@ mod tests {
         let a_node = c.node("a");
         c.add_vsource("v1", a_node, Circuit::GROUND, SourceWaveform::Dc(2.0));
         c.add_resistor("r1", a_node, Circuit::GROUND, 100.0);
-        let mna = Mna::new(&c);
+        let mna = Mna::new(&c, 300.15);
         let mut a = DenseMatrix::zeros(2);
         let mut b = vec![0.0; 2];
         let ctx = StampCtx {
             time: 0.0,
             source_scale: 0.25,
             gmin: 0.0,
-            temp_k: 300.15,
             reactive: None,
         };
         mna.assemble(&[0.0, 0.0], &mut a, &mut b, &ctx);

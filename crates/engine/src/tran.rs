@@ -21,7 +21,6 @@
 //! engine additionally drops to backward Euler, which kills any
 //! residual oscillation outright where accuracy is free.
 
-use vls_device::MosBias;
 use vls_fault::FaultSession;
 use vls_netlist::{Circuit, Element, NodeId};
 use vls_num::SolverStats;
@@ -153,13 +152,6 @@ struct DynamicCap {
     i_prev: f64,
 }
 
-/// Per-MOSFET bookkeeping for the five Meyer capacitances.
-struct MosCapsRef {
-    elem_idx: usize,
-    /// Indices into the dynamic-cap array: gs, gd, gb, db, sb.
-    slots: [usize; 5],
-}
-
 /// Runs a transient analysis from `t = 0` to `tstop`.
 ///
 /// The initial condition is the DC operating point with sources
@@ -260,11 +252,10 @@ pub fn run_transient_uic(
 ) -> Result<TransientResult, EngineError> {
     check_tstop(tstop)?;
     crate::preflight(circuit, options)?;
-    let mna = Mna::new(circuit);
-    let mut x0 = vec![0.0; mna.n_unknowns];
+    let mut x0 = vec![0.0; crate::unknown_count(circuit)];
     for (node, v) in ics {
-        if let Some(i) = mna.idx(*node) {
-            x0[i] = *v;
+        if !node.is_ground() {
+            x0[node.index() - 1] = *v;
         }
     }
     transient_from_state(circuit, 0.0, tstop, options, x0, SolverStats::default())
@@ -294,13 +285,17 @@ fn transient_from_state(
     initial: Vec<f64>,
     initial_stats: SolverStats,
 ) -> Result<TransientResult, EngineError> {
-    let mna = Mna::new(circuit);
+    let mna = Mna::new(circuit, options.temperature.as_kelvin());
     let mut x = initial;
 
     // --- dynamic branch setup ---------------------------------------
+    // Explicit capacitors and the five Meyer capacitances of every
+    // MOSFET, in element order; `mos_caps[k]` is the first of MOSFET
+    // k's five slots (gs, gd, gb, db, sb).
     let mut caps: Vec<DynamicCap> = Vec::new();
-    let mut mos_refs: Vec<MosCapsRef> = Vec::new();
-    for (elem_idx, e) in circuit.elements().iter().enumerate() {
+    let mut mos_caps: Vec<usize> = Vec::with_capacity(mna.mosfets().len());
+    let mut mosfets = mna.mosfets().iter();
+    for e in circuit.elements() {
         match e {
             Element::Capacitor {
                 a, b, capacitor, ..
@@ -313,22 +308,10 @@ fn transient_from_state(
                     i_prev: 0.0,
                 });
             }
-            Element::Mosfet {
-                drain,
-                gate,
-                source,
-                bulk,
-                ..
-            } => {
-                let (d, g, s, bk) = (
-                    mna.idx(*drain),
-                    mna.idx(*gate),
-                    mna.idx(*source),
-                    mna.idx(*bulk),
-                );
-                let pairs = [(g, s), (g, d), (g, bk), (d, bk), (s, bk)];
-                let base = caps.len();
-                for (na, nb) in pairs {
+            Element::Mosfet { .. } => {
+                let m = mosfets.next().expect("one compiled MOSFET per element");
+                mos_caps.push(caps.len());
+                for (na, nb) in m.cap_pairs() {
                     caps.push(DynamicCap {
                         a: na,
                         b: nb,
@@ -337,10 +320,6 @@ fn transient_from_state(
                         i_prev: 0.0,
                     });
                 }
-                mos_refs.push(MosCapsRef {
-                    elem_idx,
-                    slots: [base, base + 1, base + 2, base + 3, base + 4],
-                });
             }
             _ => {}
         }
@@ -390,7 +369,6 @@ fn transient_from_state(
     // solve, when any, ran under its own session).
     let mut faults = FaultSession::new(&options.fault);
     let mut step_attempts: u64 = 0;
-    let temp_k = options.temperature.as_kelvin();
     let max_step = options.max_step.unwrap_or(tstop / 50.0);
     let mut h = options.initial_step.min(max_step);
     let mut t = t0;
@@ -408,39 +386,18 @@ fn transient_from_state(
 
     while t < tstop - BREAKPOINT_TOL {
         // Refresh Meyer capacitances at the last accepted solution.
-        for m in &mos_refs {
-            if let Element::Mosfet {
-                drain,
-                gate,
-                source,
-                bulk,
-                model,
-                geom,
-                ..
-            } = &circuit.elements()[m.elem_idx]
-            {
-                let vg = mna.voltage(&x, *gate);
-                let vd = mna.voltage(&x, *drain);
-                let vs = mna.voltage(&x, *source);
-                let vb = mna.voltage(&x, *bulk);
-                let mc = match kernel.as_mut() {
-                    Some(k) => k.eval_caps(
-                        m.elem_idx,
-                        model,
-                        geom,
-                        MosBias::new(vg, vd, vs, vb),
-                        temp_k,
-                        options.bypass_vtol,
-                    ),
-                    None => {
-                        legacy_stats.cap_evals += 1;
-                        model.caps(geom, vg, vd, vs, vb, temp_k)
-                    }
-                };
-                let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
-                for (slot, val) in m.slots.iter().zip(values) {
-                    caps[*slot].c = val;
+        for (k, (m, &base)) in mna.mosfets().iter().zip(&mos_caps).enumerate() {
+            let bias = m.bias(&x);
+            let mc = match kernel.as_mut() {
+                Some(kn) => kn.eval_caps(k, &m.dev, bias, options.bypass_vtol),
+                None => {
+                    legacy_stats.cap_evals += 1;
+                    m.dev.caps(bias.vg, bias.vd, bias.vs, bias.vb)
                 }
+            };
+            let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
+            for (cap, val) in caps[base..base + 5].iter_mut().zip(values) {
+                cap.c = val;
             }
         }
 
@@ -513,7 +470,6 @@ fn transient_from_state(
                 time: t + h_now,
                 source_scale: 1.0,
                 gmin: options.gmin,
-                temp_k,
                 reactive: Some(&companions),
             };
             // Newton starts from the predictor, which is also what the

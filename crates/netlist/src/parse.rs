@@ -667,8 +667,8 @@ pub fn parse_deck(text: &str) -> Result<Deck, ParseDeckError> {
     let mut initial_conditions = Vec::new();
     let mut temperature = None;
 
-    // Current .subckt scope, if any.
-    let mut scope: Option<(String, Vec<String>, Circuit)> = None;
+    // Current .subckt scope, if any, with the line that opened it.
+    let mut scope: Option<(usize, String, Vec<String>, Circuit)> = None;
 
     for l in lines {
         let line_no = l.line_no + 1; // account for the title line
@@ -682,10 +682,15 @@ pub fn parse_deck(text: &str) -> Result<Deck, ParseDeckError> {
                     if l.tokens.len() < 3 {
                         return Err(Parser::err(line_no, ".subckt needs a name and ports"));
                     }
-                    scope = Some((l.tokens[1].clone(), l.tokens[2..].to_vec(), Circuit::new()));
+                    scope = Some((
+                        line_no,
+                        l.tokens[1].clone(),
+                        l.tokens[2..].to_vec(),
+                        Circuit::new(),
+                    ));
                 }
                 ".ends" => {
-                    let (name, ports, mut template) = scope
+                    let (_, name, ports, mut template) = scope
                         .take()
                         .ok_or_else(|| Parser::err(line_no, ".ends without .subckt"))?;
                     // Ports must exist as nodes even if unused by elements.
@@ -703,10 +708,12 @@ pub fn parse_deck(text: &str) -> Result<Deck, ParseDeckError> {
                     let mut i = 1;
                     while i < l.tokens.len() {
                         let node = Parser::parse_probe(line_no, &l.tokens, &mut i)?;
-                        if l.tokens.get(i).map(|t| t.as_str()) != Some("=") {
+                        let (Some("="), Some(value)) =
+                            (l.tokens.get(i).map(|t| t.as_str()), l.tokens.get(i + 1))
+                        else {
                             return Err(Parser::err(line_no, ".ic expects v(node)=value"));
-                        }
-                        let value = Parser::value(line_no, &l.tokens[i + 1])?;
+                        };
+                        let value = Parser::value(line_no, value)?;
                         i += 2;
                         initial_conditions.push((node, value));
                     }
@@ -776,17 +783,14 @@ pub fn parse_deck(text: &str) -> Result<Deck, ParseDeckError> {
             }
         } else {
             let target = match &mut scope {
-                Some((_, _, template)) => template,
+                Some((_, _, _, template)) => template,
                 None => &mut circuit,
             };
             parser.parse_element(target, line_no, &l.tokens)?;
         }
     }
-    if let Some((name, _, _)) = scope {
-        return Err(ParseDeckError {
-            line: 0,
-            message: format!("unterminated .subckt {name}"),
-        });
+    if let Some((line_no, name, _, _)) = scope {
+        return Err(Parser::err(line_no, format!("unterminated .subckt {name}")));
     }
     Ok(Deck {
         title,
@@ -938,6 +942,7 @@ Cload c 0 2fF
 
         let err = parse_deck("title\n.subckt foo a\nR1 a 0 1k\n.end\n").unwrap_err();
         assert!(err.message.contains("unterminated .subckt"));
+        assert_eq!(err.line, 2, "the line of the unterminated .subckt card");
     }
 
     #[test]
@@ -1077,6 +1082,16 @@ Cload c 0 2fF
         );
         assert!(parse_deck("t\nR1 a 0 1k\n.ic\n.end\n").is_err());
         assert!(parse_deck("t\nR1 a 0 1k\n.ic v(a) 0.5\n.end\n").is_err());
+    }
+
+    #[test]
+    fn ic_card_with_a_trailing_equals_is_a_line_numbered_error() {
+        for card in [".ic v(a)=", ".ic v(b)=0.5 v(a)="] {
+            let deck = format!("t\nV1 a 0 1\nR1 a b 1k\n{card}\n");
+            let err = parse_deck(&deck).unwrap_err();
+            assert_eq!(err.line, 4, "{card}");
+            assert_eq!(err.message, ".ic expects v(node)=value", "{card}");
+        }
     }
 
     #[test]

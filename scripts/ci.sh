@@ -24,7 +24,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # every RunnerOptions::default() to one worker; the default-parallelism
 # pass already ran as part of the workspace suite above.
 echo "==> cargo test (runner suites, VLS_JOBS=1)"
-VLS_JOBS=1 cargo test -q --test runner_determinism --test golden_metrics_mc
+VLS_JOBS=1 cargo test -q --test runner_determinism --test golden_metrics_mc --test golden_metrics_90c
 
 # The charlib leg: build a smoke grid through the CLI, prove the
 # artifact round-trips (second run loads instead of rebuilding and the
