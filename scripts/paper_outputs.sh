@@ -41,6 +41,9 @@ run figure9 figure9 --jobs 1
 run robustness robustness --trials 64
 run worst_case worst_case
 run ablations ablations
+run corners corners
+run prior_art prior_art
+run area area
 
 # The smoke characterization: the artifact and what the command prints.
 # Its stdout names the artifact path, so it is written from inside the

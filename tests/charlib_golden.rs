@@ -33,8 +33,8 @@ const GOLDEN: [(f64, f64, [f64; 6]); 9] = [
             7.58300861534438092e-11,
             2.40133862588543490e-6,
             1.94487805702706538e-6,
-            3.79595010694572873e-10,
-            3.24618892118490385e-10,
+            3.79595717468924284e-10,
+            3.26753201531757518e-10,
         ],
     ),
     (
@@ -45,8 +45,8 @@ const GOLDEN: [(f64, f64, [f64; 6]); 9] = [
             9.04004588187070894e-11,
             3.47114316885337383e-6,
             2.46922718202733898e-6,
-            6.19105900026538830e-10,
-            1.61280158209450657e-9,
+            6.19106066813175966e-10,
+            1.61279318536476286e-9,
         ],
     ),
     (
@@ -57,8 +57,8 @@ const GOLDEN: [(f64, f64, [f64; 6]); 9] = [
             1.23415405706739473e-10,
             5.31282739214215206e-6,
             4.25593057986421867e-6,
-            1.01175149930094719e-9,
-            2.66647342431009503e-9,
+            1.01175149379105660e-9,
+            2.66647319468603291e-9,
         ],
     ),
     (
@@ -69,8 +69,8 @@ const GOLDEN: [(f64, f64, [f64; 6]); 9] = [
             4.28984320209653593e-11,
             2.79862564523053690e-6,
             2.68118655580155436e-6,
-            3.79597421095406434e-10,
-            4.32240627253936724e-10,
+            3.79598306011157792e-10,
+            4.33680910464382211e-10,
         ],
     ),
     (
@@ -81,8 +81,8 @@ const GOLDEN: [(f64, f64, [f64; 6]); 9] = [
             4.94678160556414066e-11,
             3.79402103374410444e-6,
             3.13555194206623718e-6,
-            6.19109145788450736e-10,
-            4.29398407784625585e-10,
+            6.19109745484581580e-10,
+            4.30540408414676314e-10,
         ],
     ),
     (
@@ -93,8 +93,8 @@ const GOLDEN: [(f64, f64, [f64; 6]); 9] = [
             5.86040074105723664e-11,
             5.11739806240696913e-6,
             3.92068011399409795e-6,
-            1.01175609169591731e-9,
-            2.48123841008381051e-9,
+            1.01175633867022224e-9,
+            2.48125677676452760e-9,
         ],
     ),
     (
@@ -105,8 +105,8 @@ const GOLDEN: [(f64, f64, [f64; 6]); 9] = [
             2.83618499836638691e-11,
             3.30709102685639046e-6,
             3.61195181690459732e-6,
-            3.79605233489923751e-10,
-            9.64365740744758989e-10,
+            3.79606314713006811e-10,
+            9.67410342744613538e-10,
         ],
     ),
     (
@@ -117,8 +117,8 @@ const GOLDEN: [(f64, f64, [f64; 6]); 9] = [
             3.27736734151695243e-11,
             4.30962074368284214e-6,
             4.08234076522384903e-6,
-            6.19116909258355566e-10,
-            4.68115613286996468e-10,
+            6.19117535835386770e-10,
+            4.69017736763879154e-10,
         ],
     ),
     (
@@ -129,8 +129,8 @@ const GOLDEN: [(f64, f64, [f64; 6]); 9] = [
             3.71129766205524988e-11,
             5.58377732539363953e-6,
             4.70006309528035241e-6,
-            1.01176787970248669e-9,
-            5.07379535293860210e-10,
+            1.01176848256992812e-9,
+            5.08012494165586247e-10,
         ],
     ),
 ];

@@ -135,6 +135,28 @@ fn delay_surface_agrees_with_characterize() {
 }
 
 #[test]
+fn characterize_agrees_with_the_switching_half_at_90c_0p55_to_1p2() {
+    // The stimulus run translates here, and both leakage holds start
+    // from the state it leaves, so they settle: `characterize` must
+    // read the delay bits and verdict that `delay_surface` reads.
+    let opts = CharacterizeOptions::at_celsius(90.0);
+    let kind = ShifterKind::sstvs();
+    let pair = VoltagePair::new(0.55, 1.20);
+    let s = characterize_switching(&kind, pair, &opts).expect("the stimulus run translates");
+    assert!(s.functional);
+    let m = characterize(&kind, pair, &opts).expect("both leakage holds settle");
+    assert_eq!(m.functional, s.functional);
+    assert_eq!(
+        m.delay_rise.value().to_bits(),
+        s.delay_rise.value().to_bits()
+    );
+    assert_eq!(
+        m.delay_fall.value().to_bits(),
+        s.delay_fall.value().to_bits()
+    );
+}
+
+#[test]
 fn robustness_flow_aggregates() {
     let r =
         robustness::robustness_report(0.3, 2, 3, &[27.0], &RunnerOptions::default()).expect("runs");

@@ -44,24 +44,24 @@ fn golden_nominal_characterization_at_90c() {
     assert_pinned(
         "leakage_high",
         m.leakage_high.value(),
-        1.71205561400139662e-8,
+        1.71205561883634009e-8,
     );
-    assert_pinned("leakage_low", m.leakage_low.value(), 3.26772137991872461e-8);
+    assert_pinned("leakage_low", m.leakage_low.value(), 3.26772137992184275e-8);
 
     // The same work, counted exactly.
     assert_eq!(
         stats,
         SolverStats {
-            newton_iters: 3257,
-            linear_solves: 3257,
-            full_factorizations: 3257,
+            newton_iters: 1956,
+            linear_solves: 1956,
+            full_factorizations: 1956,
             refactorizations: 0,
             refactor_fallbacks: 0,
-            device_evals: 55239,
+            device_evals: 33122,
             device_bypasses: 0,
-            cap_evals: 28662,
+            cap_evals: 17867,
             cap_bypasses: 0,
-            tran_steps: 1686,
+            tran_steps: 1051,
             rejected_steps: 0,
             injected_faults: 0,
         }
@@ -110,14 +110,14 @@ fn golden_8_run_mc_at_90c() {
         (
             "leakage_high",
             s.leakage_high,
-            1.87423003818877355e-8,
-            3.95168133150300462e-9,
+            1.87423004370398572e-8,
+            3.95168133697497974e-9,
         ),
         (
             "leakage_low",
             s.leakage_low,
-            3.21090604765772172e-8,
-            7.82263163108678083e-9,
+            3.21090604765664771e-8,
+            7.82263163109265547e-9,
         ),
     ] {
         assert_pinned(&format!("{name}.mean"), stats.mean, mean);

@@ -55,21 +55,21 @@ fn golden_64_run_mc_at_27c() {
     assert_pinned(
         "leakage_high.mean",
         s.leakage_high.mean,
-        1.10494775644731918e-9,
+        1.10494775103870693e-9,
     );
     assert_pinned(
         "leakage_high.std",
         s.leakage_high.std,
-        2.51197229255036164e-10,
+        2.51197229262731322e-10,
     );
     assert_pinned(
         "leakage_low.mean",
         s.leakage_low.mean,
-        2.87244913312672244e-9,
+        2.87246593115220797e-9,
     );
     assert_pinned(
         "leakage_low.std",
         s.leakage_low.std,
-        9.72885996771747649e-10,
+        9.72887622157685825e-10,
     );
 }
