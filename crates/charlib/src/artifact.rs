@@ -11,7 +11,7 @@
 //! [`CharLibError::Stale`] instead of being served.
 
 use vls_cells::ShifterKind;
-use vls_core::CharacterizeOptions;
+use vls_core::{CharacterizeOptions, PROTOCOL_REVISION};
 
 use crate::grid::GridSpec;
 use crate::json::{self, Json};
@@ -35,12 +35,23 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The content hash an artifact for (`kind`, `base`, `grid`) must
 /// carry. Covers the schema version, the cell kind *including every
 /// device parameter* (via its exhaustive `Debug` rendering), the
-/// protocol constants that shape the measured numbers, and the exact
-/// grid coordinates — change any of them and the hash moves, forcing
-/// a rebuild.
+/// protocol constants that shape the measured numbers, the protocol's
+/// code revision ([`vls_core::PROTOCOL_REVISION`]), and the exact grid
+/// coordinates — change any of them and the hash moves, forcing a
+/// rebuild.
 pub fn content_hash(kind: &ShifterKind, base: &CharacterizeOptions, grid: &GridSpec) -> u64 {
+    let keyed = format!(
+        "{};protocol_revision={PROTOCOL_REVISION}",
+        descriptor(kind, base, grid)
+    );
+    fnv1a64(keyed.as_bytes())
+}
+
+/// Everything [`content_hash`] covers but the protocol revision; its
+/// hash alone was the content hash before the revision existed.
+fn descriptor(kind: &ShifterKind, base: &CharacterizeOptions, grid: &GridSpec) -> String {
     let sim = &base.sim;
-    let descriptor = format!(
+    format!(
         "charlib-v{FORMAT_VERSION};cell={kind:?};protocol=(power_window={:?},level_tolerance={:?},\
          reltol={:?},vabstol={:?},iabstol={:?},lte_tol={:?});grid=(slew={:?},load={:?},vddi={:?},\
          vddo={:?},temp={:?},trust_margin={:?})",
@@ -56,8 +67,7 @@ pub fn content_hash(kind: &ShifterKind, base: &CharacterizeOptions, grid: &GridS
         grid.vddo,
         grid.temp,
         grid.trust_margin,
-    );
-    fnv1a64(descriptor.as_bytes())
+    )
 }
 
 fn write_axis(out: &mut String, name: &str, axis: &[f64]) {
@@ -320,6 +330,43 @@ mod tests {
         );
         // Stable for identical inputs.
         assert_eq!(h, content_hash(&ShifterKind::sstvs(), &base, &grid));
+    }
+
+    #[test]
+    fn a_library_hashed_before_the_protocol_revision_loads_as_stale() {
+        // A library built by an earlier protocol carries the hash of the
+        // same (kind, options, grid) without the revision.
+        let kind = ShifterKind::sstvs();
+        let base = CharacterizeOptions::default();
+        let grid = GridSpec::smoke();
+        let tables = Tables {
+            delay_rise: vec![1e-10; 4],
+            delay_fall: vec![1e-10; 4],
+            power_rise: vec![1e-6; 4],
+            power_fall: vec![1e-6; 4],
+            leakage_high: vec![1e-9; 4],
+            leakage_low: vec![1e-9; 4],
+            functional: vec![true; 4],
+        };
+        let old = fnv1a64(descriptor(&kind, &base, &grid).as_bytes());
+        let current = content_hash(&kind, &base, &grid);
+        assert_ne!(old, current);
+        let artifact = |hash| {
+            CharLib::from_parts(
+                kind.clone(),
+                base.clone(),
+                grid.clone(),
+                hash,
+                tables.clone(),
+            )
+            .to_json()
+        };
+        let err = CharLib::load_json(&artifact(old), &kind, &base).unwrap_err();
+        assert!(
+            matches!(err, CharLibError::Stale { expected, found } if expected == current && found == old),
+            "expected a stale report, got {err}"
+        );
+        assert!(CharLib::load_json(&artifact(current), &kind, &base).is_ok());
     }
 
     #[test]

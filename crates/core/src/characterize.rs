@@ -43,6 +43,15 @@
 //!   relaxing for hundreds of nanoseconds after a switching event, so
 //!   the tail of the fast delay/power run is *not* yet the static
 //!   state the paper's leakage numbers describe.
+//!
+//! # Protocol revision
+//!
+//! A characterization library keys its artifacts on the protocol's
+//! options and on [`PROTOCOL_REVISION`], which stands for the protocol's
+//! code. Bump it in any change that moves a measured number at unchanged
+//! options (a new hold start, window or stimulus, say), so libraries
+//! built before the change are rebuilt instead of served. A change that
+//! moves only counters or run time leaves it alone.
 
 use vls_cells::{Harness, ShifterKind, VoltagePair};
 use vls_engine::{run_transient, run_transient_from, SimOptions, SolverStats, TransientResult};
@@ -51,6 +60,12 @@ use vls_variation::PerturbationMap;
 use vls_waveform::{average, delay_between, is_settled, Edge, Waveform};
 
 use crate::CoreError;
+
+/// The revision of the measurement protocol's code (see the module
+/// docs). Revision 2 continues both leakage holds from the stimulus
+/// run, which moved leakages by up to 0.7 %; revision 1 is every
+/// protocol before it.
+pub const PROTOCOL_REVISION: u32 = 2;
 
 /// Options for one characterization run.
 #[derive(Debug, Clone, PartialEq)]

@@ -40,7 +40,7 @@ mod report;
 
 pub use characterize::{
     characterize, characterize_switching, characterize_with, characterize_with_stats,
-    characterize_worst_case, CellMetrics, CharacterizeOptions, SwitchingMetrics,
+    characterize_worst_case, CellMetrics, CharacterizeOptions, SwitchingMetrics, PROTOCOL_REVISION,
 };
 pub use meas::{evaluate_all_meas, evaluate_meas, node_waveform};
 pub use report::{format_comparison_table, format_mc_table};

@@ -2,11 +2,10 @@
 
 use vls_fault::{FaultSession, LadderStage};
 use vls_netlist::{Circuit, NodeId};
-use vls_num::{weighted_converged, DenseMatrix, SolverStats, SparseLu, TripletMatrix};
+use vls_num::SolverStats;
 
 use crate::kernel::NewtonKernel;
 use crate::mna::{Mna, StampCtx};
-use crate::options::KernelMode;
 use crate::{EngineError, SimOptions};
 
 /// A DC solution: node voltages plus voltage-source branch currents.
@@ -63,9 +62,9 @@ impl DcSolution {
     }
 
     /// Work counters of the Newton solve(s) that produced this
-    /// solution. The legacy path reports iteration, linear-solve and
-    /// full-factorization counts; the symbolic kernel additionally
-    /// reports device-eval, refactorization and bypass counters.
+    /// solution: iterations, linear solves, full factorizations and
+    /// refactorizations, device evaluations and bypasses, and fired
+    /// fault injections.
     pub fn solver_stats(&self) -> SolverStats {
         self.stats
     }
@@ -96,86 +95,6 @@ pub(crate) fn singular_failure(
         }
         _ => NewtonFailure::Singular(None),
     }
-}
-
-/// Solves one Newton iteration sequence at fixed context, rebuilding
-/// the linear system from scratch every iteration (the legacy hot
-/// path; [`NewtonKernel`] is the symbolic-reuse rewrite). Returns the
-/// converged unknown vector and the iterations spent; accumulates
-/// iteration, device-evaluation and factorization counters into
-/// `stats`.
-pub(crate) fn newton_solve(
-    mna: &Mna<'_>,
-    x0: &[f64],
-    ctx: &StampCtx<'_>,
-    options: &SimOptions,
-    stats: &mut SolverStats,
-) -> Result<(Vec<f64>, usize), NewtonFailure> {
-    let n = mna.n_unknowns;
-    let nvu = mna.node_unknowns();
-    debug_assert_eq!(x0.len(), n);
-    let mut x = x0.to_vec();
-    let mut b = vec![0.0; n];
-    let use_sparse = n > options.sparse_threshold;
-    let mut dense = if use_sparse {
-        None
-    } else {
-        Some(DenseMatrix::zeros(n))
-    };
-    // Compression scratch hoisted out of the iteration loop.
-    let mut csc_scratch: Vec<(usize, f64)> = Vec::new();
-
-    for iter in 1..=options.max_newton_iters {
-        b.fill(0.0);
-        stats.newton_iters += 1;
-        let x_new = if let Some(a) = dense.as_mut() {
-            a.clear();
-            stats.device_evals += mna.assemble(&x, a, &mut b, ctx);
-            match a.factorize() {
-                Ok(lu) => lu.solve(&b),
-                Err(e) => return Err(singular_failure(mna, None, &e)),
-            }
-        } else {
-            let mut t = TripletMatrix::new(n);
-            stats.device_evals += mna.assemble(&x, &mut t, &mut b, ctx);
-            let csc = t.to_csc_with(&mut csc_scratch);
-            match SparseLu::factorize_with_tolerance(&csc, options.sparse_pivot_tol)
-                .and_then(|lu| lu.solve(&b))
-            {
-                Ok(sol) => sol,
-                Err(e) => return Err(singular_failure(mna, None, &e)),
-            }
-        };
-        stats.full_factorizations += 1;
-        stats.linear_solves += 1;
-        // Damped update: clamp voltage moves to tame the exponential
-        // device characteristics.
-        let mut clamped = false;
-        let mut delta = vec![0.0; n];
-        for i in 0..n {
-            let mut d = x_new[i] - x[i];
-            if !d.is_finite() {
-                return Err(NewtonFailure::Singular(None));
-            }
-            if i < nvu && d.abs() > options.max_voltage_step {
-                d = d.signum() * options.max_voltage_step;
-                clamped = true;
-            }
-            delta[i] = d;
-            x[i] += d;
-        }
-        if clamped {
-            continue;
-        }
-        let (dv, di) = delta.split_at(nvu);
-        let (xv, xi) = x.split_at(nvu);
-        if weighted_converged(dv, xv, options.vabstol, options.reltol)
-            && weighted_converged(di, xi, options.iabstol, options.reltol)
-        {
-            return Ok((x, iter));
-        }
-    }
-    Err(NewtonFailure::NoConvergence)
 }
 
 /// How a DC operating point was obtained — the instrumentation behind
@@ -230,13 +149,11 @@ fn check_budget(
     Ok(())
 }
 
-/// The DC homotopy ladder, generic over the Newton implementation:
-/// `solve(x0, gmin, source_scale, faults)` runs one Newton sequence.
-/// Shared by the legacy path and the symbolic kernel so both climb the
-/// exact same warm → plain → gmin-stepping → source-stepping
-/// escalation. The fault session covers the whole ladder: stage
-/// charges force attempts to fail, and the session is also handed to
-/// the solver for its own (pivot, bypass) hooks.
+/// The DC homotopy ladder: warm → plain → gmin-stepping →
+/// source-stepping, where `solve(x0, gmin, source_scale, faults)` runs
+/// one Newton sequence. The fault session covers the whole ladder:
+/// stage charges force attempts to fail, and the session is also handed
+/// to the solver for its own (pivot, bypass) hooks.
 fn run_ladder<F>(
     options: &SimOptions,
     n: usize,
@@ -356,38 +273,19 @@ pub(crate) fn solve_dc_at_guess(
     // One fault session per DC ladder: stage charges and solver hooks
     // draw from the same ledger, so a plan's counts mean "per phase".
     let mut faults = FaultSession::new(&options.fault);
-    let (x, stats, solver) = match options.kernel {
-        KernelMode::Legacy => {
-            let mut solver = SolverStats::default();
-            let (x, stats) = run_ladder(
-                options,
-                n,
-                guess,
-                &mut faults,
-                &mut |x0, gmin, scale, _faults| {
-                    newton_solve(&mna, x0, &ctx(gmin, scale), options, &mut solver)
-                },
-            )?;
-            (x, stats, solver)
-        }
-        KernelMode::Symbolic => {
-            // One kernel for the whole ladder: the symbolic pattern,
-            // LU storage, workspaces and bypass caches carry across
-            // every homotopy stage.
-            let mut kernel = NewtonKernel::new(&mna, options, None);
-            let (x, stats) = run_ladder(
-                options,
-                n,
-                guess,
-                &mut faults,
-                &mut |x0, gmin, scale, faults| kernel.solve(x0, &ctx(gmin, scale), options, faults),
-            )?;
-            let solver = kernel.stats();
-            (x, stats, solver)
-        }
-    };
+    // One kernel for the whole ladder: the symbolic pattern, LU
+    // storage, workspaces and bypass caches carry across every
+    // homotopy stage.
+    let mut kernel = NewtonKernel::new(&mna, options, None);
+    let (x, stats) = run_ladder(
+        options,
+        n,
+        guess,
+        &mut faults,
+        &mut |x0, gmin, scale, faults| kernel.solve(x0, &ctx(gmin, scale), options, faults),
+    )?;
     let mut sol = DcSolution::new(circuit, x);
-    sol.stats = solver;
+    sol.stats = kernel.stats();
     sol.stats.injected_faults += faults.fired();
     Ok((sol, stats))
 }

@@ -1,21 +1,24 @@
-//! The symbolic-reuse Newton kernel.
+//! The symbolic-reuse Newton kernel: every DC, DC-sweep and transient
+//! Newton solve runs here.
 //!
-//! The legacy hot path rebuilds its linear system from scratch on every
-//! Newton iteration: a fresh `TripletMatrix` (or zeroed `DenseMatrix`),
-//! a sort-and-dedup compression to CSC, and a full LU factorization
-//! with pivot search. For a fixed circuit all of that structure is
-//! invariant — only the *values* change between iterations. This module
-//! hoists the invariant work to construction time:
+//! For a fixed circuit the structure of the linear system is invariant
+//! — only the *values* change between iterations. The kernel does the
+//! invariant work once, at construction:
 //!
 //! * **Symbolic phase (once per circuit):** one probe assembly records
 //!   the stamp sequence; [`TripletMatrix::compile`] turns it into a
 //!   frozen CSC pattern plus a stamp-pointer map. Every subsequent
 //!   assembly is a branch-light scatter `values[map[cursor]] += v` —
-//!   no sort, no dedup, no allocation.
+//!   no sort, no dedup, no allocation. The scattered values equal a
+//!   from-scratch [`Mna::assemble`] compressed with
+//!   [`TripletMatrix::to_csc`]; the unit tests below pin that.
 //! * **Numeric-only refactorization:** the pivot order found by the
 //!   first full factorization is replayed by [`SparseLu::refactorize`];
-//!   a pivot-health check falls back to a full re-pivoting
-//!   factorization when values drift. Dense circuits reuse the `n²`
+//!   a pivot-health check at [`SimOptions::sparse_pivot_tol`] falls
+//!   back to a full re-pivoting factorization when values drift. At
+//!   `1.0` (retry rung 2) the check trips whenever a frozen pivot is no
+//!   longer its column's largest candidate, so the kernel factorizes as
+//!   strict partial pivoting would. Dense circuits reuse the `n²`
 //!   factor storage through [`DenseMatrix::factorize_into`].
 //! * **Reusable workspaces:** the iterate, right-hand side, solution
 //!   and delta vectors live in the kernel, so steady-state transient
@@ -25,10 +28,6 @@
 //!   and replayed while its terminal voltages stay within tolerance —
 //!   but a bypassed evaluation is never allowed to decide convergence:
 //!   the kernel always confirms with one full-evaluation iteration.
-//!
-//! With bypass disabled (the default) the kernel performs arithmetic
-//! identical to the legacy path, so results match to the last bit; the
-//! equivalence suite in `tests/newton_kernel.rs` pins this.
 
 use vls_device::{BoundMos, MosBias, MosCaps, MosCapsCache, MosStamp, MosStampCache};
 use vls_fault::FaultSession;
@@ -106,8 +105,7 @@ fn factor_sparse(
 }
 
 /// The factorization backend chosen at construction time from
-/// `SimOptions::sparse_threshold` (same rule as the legacy path) and,
-/// above it, `SimOptions::structure`.
+/// `SimOptions::sparse_threshold` and, above it, `SimOptions::structure`.
 // One instance lives per kernel (per circuit), never in a collection,
 // so the variant size difference costs nothing.
 #[allow(clippy::large_enum_variant)]
@@ -313,9 +311,67 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
         c
     }
 
-    /// One Newton solve from `x0` under `ctx`: damping, convergence and
-    /// failure semantics identical to the legacy `newton_solve`.
-    /// Returns the converged unknown vector and the iterations spent.
+    /// Assembles the linearized system at the iterate `self.x` under
+    /// `ctx` into the linear path's matrix and `self.b`. Each MOSFET is
+    /// evaluated, or, when `allow_bypass`, its cached linearization is
+    /// replayed while its bias stays within `bypass_tol`. Returns
+    /// whether any evaluation was bypassed.
+    fn assemble(&mut self, ctx: &StampCtx<'_>, allow_bypass: bool, bypass_tol: f64) -> bool {
+        let Self {
+            mna,
+            path,
+            b,
+            x,
+            stamp_caches,
+            stats,
+            ..
+        } = self;
+        b.fill(0.0);
+        let mut bypassed = false;
+        let mut eval = |mos_idx: usize, dev: &BoundMos, bias: MosBias| {
+            if allow_bypass {
+                if let Some(s) = stamp_caches[mos_idx].lookup(&bias, bypass_tol) {
+                    stats.device_bypasses += 1;
+                    bypassed = true;
+                    return s;
+                }
+            }
+            let s = MosStamp::from_op(&dev.op(bias.vg, bias.vd, bias.vs, bias.vb), &bias);
+            if bypass_tol > 0.0 {
+                stamp_caches[mos_idx].store(bias, s);
+            }
+            stats.device_evals += 1;
+            s
+        };
+        match path {
+            LinearPath::Dense { a, .. } => {
+                a.clear();
+                mna.assemble_with_eval(x, a, b, ctx, &mut eval);
+            }
+            LinearPath::Sparse { pattern, map, .. }
+            | LinearPath::Ordered { pattern, map, .. }
+            | LinearPath::Islands { pattern, map, .. } => {
+                pattern.reset_values();
+                let mut sink = PatternScatter {
+                    values: pattern.values_mut(),
+                    map,
+                    cursor: 0,
+                };
+                mna.assemble_with_eval(x, &mut sink, b, ctx, &mut eval);
+                // Pattern-drift tripwire: the stamp sequence must replay
+                // the recorded one stamp for stamp.
+                assert_eq!(
+                    sink.cursor,
+                    map.len(),
+                    "assembly stamped a different sequence than the symbolic phase"
+                );
+            }
+        }
+        bypassed
+    }
+
+    /// One damped Newton solve from `x0` under `ctx`. Returns the
+    /// converged unknown vector and the iterations spent.
     pub fn solve(
         &mut self,
         x0: &[f64],
@@ -323,20 +379,6 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
         options: &SimOptions,
         faults: &mut FaultSession,
     ) -> Result<(Vec<f64>, usize), NewtonFailure> {
-        let iters = self.solve_in_place(x0, ctx, options, faults)?;
-        Ok((self.x.clone(), iters))
-    }
-
-    /// [`NewtonKernel::solve`] leaving the solution in the internal
-    /// workspace (read it with [`NewtonKernel::solution`]) — no
-    /// allocation at all.
-    pub fn solve_in_place(
-        &mut self,
-        x0: &[f64],
-        ctx: &StampCtx<'_>,
-        options: &SimOptions,
-        faults: &mut FaultSession,
-    ) -> Result<usize, NewtonFailure> {
         let n = self.mna.n_unknowns;
         let nvu = self.mna.node_unknowns();
         debug_assert_eq!(x0.len(), n);
@@ -356,66 +398,24 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
 
         for iter in 1..=options.max_newton_iters {
             self.stats.newton_iters += 1;
+            let bypassed = self.assemble(ctx, allow_bypass, bypass_tol);
             let Self {
                 mna,
                 path,
                 b,
-                x,
                 x_new,
-                stamp_caches,
                 stats,
                 ..
             } = self;
-            b.fill(0.0);
-            let mut bypassed = false;
-            let mut eval = |mos_idx: usize, dev: &BoundMos, bias: MosBias| {
-                if allow_bypass {
-                    if let Some(s) = stamp_caches[mos_idx].lookup(&bias, bypass_tol) {
-                        stats.device_bypasses += 1;
-                        bypassed = true;
-                        return s;
-                    }
-                }
-                let s = MosStamp::from_op(&dev.op(bias.vg, bias.vd, bias.vs, bias.vb), &bias);
-                if bypass_tol > 0.0 {
-                    stamp_caches[mos_idx].store(bias, s);
-                }
-                stats.device_evals += 1;
-                s
-            };
             match path {
                 LinearPath::Dense { a, lu } => {
-                    a.clear();
-                    mna.assemble_with_eval(x, a, b, ctx, &mut eval);
-                    // Ends the closure's borrow of `stats`.
-                    #[allow(clippy::drop_non_drop)]
-                    drop(eval);
                     if let Err(e) = a.factorize_into(lu) {
                         return Err(singular_failure(mna, None, &e));
                     }
                     stats.full_factorizations += 1;
                     lu.solve_into(b, x_new);
                 }
-                LinearPath::Sparse { pattern, map, lu } => {
-                    pattern.reset_values();
-                    {
-                        let mut sink = PatternScatter {
-                            values: pattern.values_mut(),
-                            map,
-                            cursor: 0,
-                        };
-                        mna.assemble_with_eval(x, &mut sink, b, ctx, &mut eval);
-                        // Pattern-drift tripwire: the stamp sequence must
-                        // replay the recorded one stamp for stamp.
-                        assert_eq!(
-                            sink.cursor,
-                            map.len(),
-                            "assembly stamped a different sequence than the symbolic phase"
-                        );
-                    }
-                    // Ends the closure's borrow of `stats`.
-                    #[allow(clippy::drop_non_drop)]
-                    drop(eval);
+                LinearPath::Sparse { pattern, lu, .. } => {
                     if let Err(e) =
                         factor_sparse(lu, pattern, options.sparse_pivot_tol, faults, stats)
                     {
@@ -428,30 +428,13 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                 }
                 LinearPath::Ordered {
                     pattern,
-                    map,
                     perm,
                     new_of,
                     lu,
                     pb,
                     px,
+                    ..
                 } => {
-                    pattern.reset_values();
-                    {
-                        let mut sink = PatternScatter {
-                            values: pattern.values_mut(),
-                            map,
-                            cursor: 0,
-                        };
-                        mna.assemble_with_eval(x, &mut sink, b, ctx, &mut eval);
-                        assert_eq!(
-                            sink.cursor,
-                            map.len(),
-                            "assembly stamped a different sequence than the symbolic phase"
-                        );
-                    }
-                    // Ends the closure's borrow of `stats`.
-                    #[allow(clippy::drop_non_drop)]
-                    drop(eval);
                     if let Err(e) =
                         factor_sparse(lu, pattern, options.sparse_pivot_tol, faults, stats)
                     {
@@ -475,28 +458,11 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                     factors,
                     boundary_lu,
                     pattern,
-                    map,
                     pb,
                     px,
                     jobs,
+                    ..
                 } => {
-                    pattern.reset_values();
-                    {
-                        let mut sink = PatternScatter {
-                            values: pattern.values_mut(),
-                            map,
-                            cursor: 0,
-                        };
-                        mna.assemble_with_eval(x, &mut sink, b, ctx, &mut eval);
-                        assert_eq!(
-                            sink.cursor,
-                            map.len(),
-                            "assembly stamped a different sequence than the symbolic phase"
-                        );
-                    }
-                    // Ends the closure's borrow of `stats`.
-                    #[allow(clippy::drop_non_drop)]
-                    drop(eval);
                     let tol = options.sparse_pivot_tol;
                     if boundary_lu.is_some() && faults.fire_pivot() {
                         // Injected drift on the partitioned path: island
@@ -571,7 +537,7 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
             stats.linear_solves += 1;
 
             // Damped update: clamp voltage moves to tame the exponential
-            // device characteristics (identical to the legacy path).
+            // device characteristics.
             let delta = &mut self.delta;
             let x = &mut self.x;
             let x_new = &self.x_new;
@@ -604,7 +570,7 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                     allow_bypass = false;
                     continue;
                 }
-                return Ok(iter);
+                return Ok((x.clone(), iter));
             }
             allow_bypass = bypass_tol > 0.0;
         }
@@ -657,5 +623,129 @@ pub fn island_report(circuit: &vls_netlist::Circuit, options: &SimOptions) -> Is
         islands: part.island_count(),
         boundary: part.boundary_len(),
         largest_island: part.largest_island(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use vls_netlist::chipgen::{generate_chip, ChipSpec};
+    use vls_netlist::Circuit;
+
+    use super::*;
+    use crate::run_transient;
+    use crate::tran::dynamic_caps;
+    use crate::tran::tests::pwl_inverter;
+
+    /// Checks the kernel's DC and transient assemblies against a
+    /// from-scratch `Mna::assemble` into a fresh triplet matrix,
+    /// compressed and brought into the kernel's order, at every stored
+    /// sample of a dense-path transient of `circuit` (the dense path
+    /// never scatters). The transient companions are backward-Euler
+    /// steps between consecutive samples, with the Meyer capacitances at
+    /// the later one. Values compare as floats: every nonzero value bit
+    /// for bit, and a slot whose every stamp is `-0.0` reads `+0.0` from
+    /// the scatter, which starts each slot at `+0.0`. Returns the
+    /// sample count.
+    fn check_assembly(circuit: &Circuit, options: &SimOptions, tstop: f64, ordered: bool) -> usize {
+        let mna = Mna::new(circuit, options.temperature.as_kelvin());
+        let (mut caps, mos_caps) = dynamic_caps(circuit, &mna);
+        let probe: Vec<CompanionCap> = caps.iter().map(|c| c.companion(1.0, 1.0)).collect();
+        let mut kernels = [
+            NewtonKernel::new(&mna, options, None),
+            NewtonKernel::new(&mna, options, Some(&probe)),
+        ];
+        for k in &kernels {
+            let path_ordered = match k.path {
+                LinearPath::Sparse { .. } => false,
+                LinearPath::Ordered { .. } => true,
+                _ => panic!("not a natural or ordered sparse path"),
+            };
+            assert_eq!(path_ordered, ordered);
+        }
+        let dense = SimOptions {
+            sparse_threshold: usize::MAX,
+            ..options.clone()
+        };
+        let res = run_transient(circuit, tstop, &dense).expect("transient converges");
+        let times = res.times();
+        for (s, &t) in times.iter().enumerate() {
+            let (_, x) = res.state_at(t).expect("a stored sample");
+            let h = if s == 0 {
+                options.initial_step
+            } else {
+                t - times[s - 1]
+            };
+            for (m, &base) in mna.mosfets().iter().zip(&mos_caps) {
+                let bias = m.bias(x);
+                let mc = m.dev.caps(bias.vg, bias.vd, bias.vs, bias.vb);
+                let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
+                for (cap, c) in caps[base..base + 5].iter_mut().zip(values) {
+                    cap.c = c;
+                }
+            }
+            let volt = |i: Option<usize>| i.map_or(0.0, |i| x[i]);
+            let companions: Vec<CompanionCap> = caps
+                .iter_mut()
+                .map(|cap| {
+                    let comp = cap.companion(1.0, h);
+                    cap.v_prev = volt(cap.a) - volt(cap.b);
+                    comp
+                })
+                .collect();
+            for (k, reactive) in kernels.iter_mut().zip([None, Some(&companions[..])]) {
+                let ctx = StampCtx {
+                    time: t,
+                    source_scale: 1.0,
+                    gmin: options.gmin,
+                    reactive,
+                };
+                k.x.clear();
+                k.x.extend_from_slice(x);
+                k.assemble(&ctx, false, 0.0);
+                let mut trip = TripletMatrix::new(mna.n_unknowns);
+                let mut b = vec![0.0; mna.n_unknowns];
+                mna.assemble(x, &mut trip, &mut b, &ctx);
+                let (a, reference) = match &k.path {
+                    LinearPath::Ordered {
+                        pattern, new_of, ..
+                    } => (pattern, trip.to_csc().permute_symmetric(new_of)),
+                    LinearPath::Sparse { pattern, .. } => (pattern, trip.to_csc()),
+                    _ => unreachable!("checked above"),
+                };
+                let what = if reactive.is_some() {
+                    "transient"
+                } else {
+                    "DC"
+                };
+                assert_eq!(*a, reference, "{what} matrix at sample {s}");
+                assert_eq!(k.b, b, "{what} right-hand side at sample {s}");
+            }
+        }
+        times.len()
+    }
+
+    #[test]
+    fn scatter_assembly_equals_a_from_scratch_assembly() {
+        // A chipgen floorplan, sparse by size, in both sparse orders.
+        let chip = generate_chip(&ChipSpec {
+            instances: 20,
+            islands: 3,
+            seed: 0x5510_c0de,
+        })
+        .flatten();
+        for structure in [SolverStructure::Natural, SolverStructure::Ordered] {
+            let options = SimOptions {
+                structure,
+                ..SimOptions::default()
+            };
+            let ordered = structure == SolverStructure::Ordered;
+            assert!(check_assembly(&chip, &options, 0.2e-9, ordered) > 10);
+        }
+        // A small MOSFET circuit forced onto the sparse path.
+        let options = SimOptions {
+            sparse_threshold: 0,
+            ..SimOptions::default()
+        };
+        assert!(check_assembly(&pwl_inverter(), &options, 2.5e-9, false) > 10);
     }
 }

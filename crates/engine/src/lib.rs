@@ -49,7 +49,7 @@ pub use dc::{solve_dc, solve_dc_warm, DcSolution, DcSolveStats};
 pub use kernel::{island_report, IslandReport};
 pub use mna::unknown_count;
 pub use op_report::{op_report, MosRegion, OpEntry, OpReport};
-pub use options::{KernelMode, SimOptions, SolverStructure};
+pub use options::{SimOptions, SolverStructure};
 pub use sweep::{dc_sweep, dc_sweep_with_stats, DcSweepPoint, SweepStats};
 pub use tran::{run_transient, run_transient_from, run_transient_uic, TransientResult};
 pub use vls_check::CheckLevel;

@@ -4,31 +4,10 @@ use vls_check::CheckLevel;
 use vls_fault::FaultPlan;
 use vls_units::Temperature;
 
-/// Which Newton/transient hot-path implementation to run.
-///
-/// Both produce the same solutions (the equivalence suite in
-/// `tests/newton_kernel.rs` pins them to each other). `Legacy` is the
-/// reference that suite compares against, and retry rung 2 of
-/// [`SimOptions::escalated`] runs it as the most conservative path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Per-iteration matrix rebuild: fresh `TripletMatrix`/`DenseMatrix`
-    /// assembly and a full factorization every Newton iteration.
-    Legacy,
-    /// Symbolic-reuse kernel: one-time sparsity analysis with
-    /// stamp-pointer scatter assembly, numeric-only refactorization
-    /// with frozen pivots, reusable workspaces, and (when
-    /// [`SimOptions::bypass_vtol`] is positive) device-eval bypass.
-    #[default]
-    Symbolic,
-}
-
-/// How the sparse linear system is *structured* before factorization —
-/// orthogonal to [`KernelMode`], which picks the assembly/refactorization
-/// strategy. Only the sparse path of [`KernelMode::Symbolic`] honors
-/// this; dense circuits (at or below [`SimOptions::sparse_threshold`])
-/// and [`KernelMode::Legacy`] (retry rung 2 and up) always solve in
-/// natural order.
+/// How the sparse linear system is *structured* before factorization.
+/// Only the sparse path honors this; dense circuits (at or below
+/// [`SimOptions::sparse_threshold`]) have no order to choose, and retry
+/// rung 2 and up ([`SimOptions::escalated`]) solve in natural order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverStructure {
     /// Natural MNA unknown order, flat LU. The default: bit-identical
@@ -86,17 +65,15 @@ pub struct SimOptions {
     /// Diagonal-preference pivot tolerance for the sparse LU: the
     /// diagonal is kept as pivot while its magnitude is at least this
     /// fraction of the column maximum. Also the pivot-health threshold
-    /// guarding numeric-only refactorization. SPICE's classic value.
+    /// guarding numeric-only refactorization. SPICE's classic value by
+    /// default; `1.0` is strict partial pivoting (retry rung 2).
     pub sparse_pivot_tol: f64,
-    /// Newton hot-path implementation selector.
-    pub kernel: KernelMode,
     /// Device-bypass voltage tolerance, V: a MOSFET (or its Meyer
     /// capacitances) is not re-evaluated while every terminal voltage
     /// stays within this of the cached evaluation. `0.0` (the default)
-    /// disables bypassing, which keeps results bit-identical to the
-    /// legacy path; small positive values (≈1e-6) trade exactness
-    /// within `reltol` for large speedups on waveform plateaus. Only
-    /// honored by [`KernelMode::Symbolic`].
+    /// disables bypassing, so every Newton iteration evaluates every
+    /// device; small positive values (≈1e-6) trade exactness within
+    /// `reltol` for fewer evaluations on waveform plateaus.
     pub bypass_vtol: f64,
     /// Static electrical-rule checking to run before any analysis.
     /// `Off` (the default) keeps only the structural `validate()`
@@ -121,9 +98,8 @@ pub struct SimOptions {
     pub step_budget: Option<u64>,
     /// Sparse linear-system structuring: natural order (the default,
     /// bit-identical to prior behavior), fill-reducing minimum-degree
-    /// ordering, or the island-partitioned Schur solver. Honored by the
-    /// sparse path of [`KernelMode::Symbolic`]; the dense path and
-    /// [`KernelMode::Legacy`] ignore it.
+    /// ordering, or the island-partitioned Schur solver. The dense path
+    /// ignores it.
     pub structure: SolverStructure,
     /// Worker threads for the island-partitioned solver's per-island
     /// factorization fan-out. `None` defers to the `VLS_JOBS`
@@ -149,7 +125,6 @@ impl Default for SimOptions {
             lte_tol: 1e-3,
             sparse_threshold: 64,
             sparse_pivot_tol: 1e-3,
-            kernel: KernelMode::Symbolic,
             bypass_vtol: 0.0,
             check: CheckLevel::Off,
             fault: FaultPlan::none(),
@@ -179,11 +154,19 @@ impl SimOptions {
     /// * rung 0 — these options unchanged (the base attempt);
     /// * rung 1 — gmin floor raised 100× (stiffer regularization pulls
     ///   floating/bistable nodes toward convergence);
-    /// * rung 2 — additionally forces [`KernelMode::Legacy`] with
-    ///   bypassing off (full re-pivoting every iteration, no frozen
-    ///   structure, no cached linearizations);
-    /// * rung 3+ — additionally quarters the maximum and initial
-    ///   transient steps (brute-force LTE headroom).
+    /// * rung 2 — additionally strict partial pivoting
+    ///   (`sparse_pivot_tol = 1.0`) in natural order with bypassing off.
+    ///   A frozen pivot that is no longer its column's largest candidate
+    ///   fails the refactorization health check, so the sparse path
+    ///   factorizes as a fresh strict-pivoting factorization would, and
+    ///   no linearization is replayed from a cache. The dense path
+    ///   already pivots strictly, so on a circuit of at most
+    ///   [`SimOptions::sparse_threshold`] unknowns with bypass off
+    ///   this rung repeats rung 1;
+    /// * rung 3+ — additionally quarters the LTE tolerance and the
+    ///   initial transient step, and the maximum step when one is set
+    ///   (LTE headroom on every stepper path, whatever `max_step` a
+    ///   caller picks).
     ///
     /// Injected faults model a transient upset of the base attempt, so
     /// escalation also disarms the fault plan from rung 1 on — a retry
@@ -197,13 +180,12 @@ impl SimOptions {
         o.fault = FaultPlan::none();
         o.gmin = self.gmin * 100.0;
         if rung >= 2 {
-            o.kernel = KernelMode::Legacy;
+            o.sparse_pivot_tol = 1.0;
             o.bypass_vtol = 0.0;
-            // Legacy ignores structuring anyway; force Natural so the
-            // intent — the most conservative flat path — is explicit.
             o.structure = SolverStructure::Natural;
         }
         if rung >= 3 {
+            o.lte_tol = self.lte_tol / 4.0;
             o.max_step = self.max_step.map(|s| s / 4.0);
             o.initial_step = self.initial_step / 4.0;
         }
@@ -222,7 +204,6 @@ mod tests {
         assert_eq!(o.gmin, 1e-12);
         assert_eq!(o.temperature, Temperature::ROOM);
         assert_eq!(o.sparse_pivot_tol, 1e-3);
-        assert_eq!(o.kernel, KernelMode::Symbolic);
         // Bypass must default OFF so the kernel is exact by default.
         assert_eq!(o.bypass_vtol, 0.0);
         // Fault injection and budgets must default inert/unlimited.
@@ -247,7 +228,7 @@ mod tests {
         let r1 = base.escalated(1);
         assert!(r1.fault.is_empty(), "retries run clean");
         assert_eq!(r1.gmin, base.gmin * 100.0);
-        assert_eq!(r1.kernel, KernelMode::Symbolic);
+        assert_eq!(r1.sparse_pivot_tol, base.sparse_pivot_tol);
         assert_eq!(
             r1.structure,
             SolverStructure::Islands,
@@ -255,16 +236,30 @@ mod tests {
         );
         let r2 = base.escalated(2);
         assert_eq!(r2.gmin, base.gmin * 100.0);
-        assert_eq!(r2.kernel, KernelMode::Legacy);
+        assert_eq!(r2.sparse_pivot_tol, 1.0, "rung 2 pivots strictly");
         assert_eq!(
             r2.structure,
             SolverStructure::Natural,
             "rung 2 de-structures"
         );
         assert_eq!(r2.max_step, base.max_step);
+        assert_eq!(r2.lte_tol, base.lte_tol);
         let r3 = base.escalated(3);
-        assert_eq!(r3.kernel, KernelMode::Legacy);
+        assert_eq!(r3.sparse_pivot_tol, 1.0);
         assert_eq!(r3.max_step, Some(1e-11 / 4.0));
+        assert_eq!(r3.initial_step, base.initial_step / 4.0);
+    }
+
+    #[test]
+    fn rung_three_tightens_the_steps_of_a_default_transient() {
+        // The default leaves `max_step` unset (the stepper derives
+        // `tstop / 50`), so rung 3's LTE headroom must come from the
+        // tolerance every stepper path reads.
+        let base = SimOptions::default();
+        assert_eq!(base.max_step, None);
+        let r3 = base.escalated(3);
+        assert_eq!(r3.lte_tol, base.lte_tol / 4.0);
+        assert_eq!(r3.max_step, None);
         assert_eq!(r3.initial_step, base.initial_step / 4.0);
     }
 

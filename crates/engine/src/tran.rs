@@ -25,10 +25,9 @@ use vls_fault::FaultSession;
 use vls_netlist::{Circuit, Element, NodeId};
 use vls_num::SolverStats;
 
-use crate::dc::{newton_solve, solve_dc_at, DcSolution};
+use crate::dc::{solve_dc_at, DcSolution};
 use crate::kernel::NewtonKernel;
 use crate::mna::{CompanionCap, Mna, StampCtx};
-use crate::options::KernelMode;
 use crate::{EngineError, SimOptions};
 
 /// The sampled result of a transient run.
@@ -140,16 +139,77 @@ fn predict(x: &[f64], history: Option<(&[f64], f64)>, h: f64, out: &mut [f64]) {
 }
 
 /// One dynamic (capacitive) branch tracked across steps.
-struct DynamicCap {
-    a: Option<usize>,
-    b: Option<usize>,
+pub(crate) struct DynamicCap {
+    pub(crate) a: Option<usize>,
+    pub(crate) b: Option<usize>,
     /// Capacitance for the current step, F.
-    c: f64,
+    pub(crate) c: f64,
     /// Branch voltage at the previous accepted time point.
-    v_prev: f64,
+    pub(crate) v_prev: f64,
     /// Branch current at the previous accepted time point (trapezoidal
     /// history).
     i_prev: f64,
+}
+
+impl DynamicCap {
+    /// The companion model for a step of `h` at damping `theta`. A
+    /// zero-capacitance slot stamps a zero placeholder, so the stamp
+    /// pattern never changes between steps.
+    pub(crate) fn companion(&self, theta: f64, h: f64) -> CompanionCap {
+        let (geq, ieq) = if self.c <= 0.0 {
+            (0.0, 0.0)
+        } else {
+            let geq = self.c / (theta * h);
+            (geq, geq * self.v_prev + (1.0 - theta) / theta * self.i_prev)
+        };
+        CompanionCap {
+            a: self.a,
+            b: self.b,
+            geq,
+            ieq,
+        }
+    }
+}
+
+/// The dynamic branches of `circuit`: explicit capacitors and the five
+/// Meyer capacitances of every MOSFET, in element order, with the index
+/// of each MOSFET's first slot (gs, gd, gb, db, sb follow it). Every
+/// branch starts uncharged at zero capacitance except the explicit
+/// capacitors, which carry theirs.
+pub(crate) fn dynamic_caps(circuit: &Circuit, mna: &Mna<'_>) -> (Vec<DynamicCap>, Vec<usize>) {
+    let mut caps: Vec<DynamicCap> = Vec::new();
+    let mut mos_caps: Vec<usize> = Vec::with_capacity(mna.mosfets().len());
+    let mut mosfets = mna.mosfets().iter();
+    for e in circuit.elements() {
+        match e {
+            Element::Capacitor {
+                a, b, capacitor, ..
+            } if capacitor.capacitance() > 0.0 => {
+                caps.push(DynamicCap {
+                    a: mna.idx(*a),
+                    b: mna.idx(*b),
+                    c: capacitor.capacitance(),
+                    v_prev: 0.0,
+                    i_prev: 0.0,
+                });
+            }
+            Element::Mosfet { .. } => {
+                let m = mosfets.next().expect("one compiled MOSFET per element");
+                mos_caps.push(caps.len());
+                for (a, b) in m.cap_pairs() {
+                    caps.push(DynamicCap {
+                        a,
+                        b,
+                        c: 0.0,
+                        v_prev: 0.0,
+                        i_prev: 0.0,
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+    (caps, mos_caps)
 }
 
 /// Runs a transient analysis from `t = 0` to `tstop`.
@@ -288,42 +348,7 @@ fn transient_from_state(
     let mna = Mna::new(circuit, options.temperature.as_kelvin());
     let mut x = initial;
 
-    // --- dynamic branch setup ---------------------------------------
-    // Explicit capacitors and the five Meyer capacitances of every
-    // MOSFET, in element order; `mos_caps[k]` is the first of MOSFET
-    // k's five slots (gs, gd, gb, db, sb).
-    let mut caps: Vec<DynamicCap> = Vec::new();
-    let mut mos_caps: Vec<usize> = Vec::with_capacity(mna.mosfets().len());
-    let mut mosfets = mna.mosfets().iter();
-    for e in circuit.elements() {
-        match e {
-            Element::Capacitor {
-                a, b, capacitor, ..
-            } if capacitor.capacitance() > 0.0 => {
-                caps.push(DynamicCap {
-                    a: mna.idx(*a),
-                    b: mna.idx(*b),
-                    c: capacitor.capacitance(),
-                    v_prev: 0.0,
-                    i_prev: 0.0,
-                });
-            }
-            Element::Mosfet { .. } => {
-                let m = mosfets.next().expect("one compiled MOSFET per element");
-                mos_caps.push(caps.len());
-                for (na, nb) in m.cap_pairs() {
-                    caps.push(DynamicCap {
-                        a: na,
-                        b: nb,
-                        c: 0.0,
-                        v_prev: 0.0,
-                        i_prev: 0.0,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
+    let (mut caps, mos_caps) = dynamic_caps(circuit, &mna);
     let volt_of = |x: &[f64], n: Option<usize>| n.map_or(0.0, |i| x[i]);
     // Initialize branch voltages from the DC point.
     for cap in caps.iter_mut() {
@@ -335,22 +360,8 @@ fn transient_from_state(
     // stamped as placeholders, so the pattern never changes between
     // steps) is analyzed once, and the LU storage, workspaces and
     // bypass caches persist across all time steps.
-    let mut legacy_stats = SolverStats::default();
-    let mut kernel = match options.kernel {
-        KernelMode::Symbolic => {
-            let probe: Vec<CompanionCap> = caps
-                .iter()
-                .map(|cap| CompanionCap {
-                    a: cap.a,
-                    b: cap.b,
-                    geq: 0.0,
-                    ieq: 0.0,
-                })
-                .collect();
-            Some(NewtonKernel::new(&mna, options, Some(&probe)))
-        }
-        KernelMode::Legacy => None,
-    };
+    let probe: Vec<CompanionCap> = caps.iter().map(|cap| cap.companion(1.0, 1.0)).collect();
+    let mut kernel = NewtonKernel::new(&mna, options, Some(&probe));
 
     // --- breakpoints -------------------------------------------------
     let mut breakpoints: Vec<f64> = Vec::new();
@@ -387,14 +398,7 @@ fn transient_from_state(
     while t < tstop - BREAKPOINT_TOL {
         // Refresh Meyer capacitances at the last accepted solution.
         for (k, (m, &base)) in mna.mosfets().iter().zip(&mos_caps).enumerate() {
-            let bias = m.bias(&x);
-            let mc = match kernel.as_mut() {
-                Some(kn) => kn.eval_caps(k, &m.dev, bias, options.bypass_vtol),
-                None => {
-                    legacy_stats.cap_evals += 1;
-                    m.dev.caps(bias.vg, bias.vd, bias.vs, bias.vb)
-                }
-            };
+            let mc = kernel.eval_caps(k, &m.dev, m.bias(&x), options.bypass_vtol);
             let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
             for (cap, val) in caps[base..base + 5].iter_mut().zip(values) {
                 cap.c = val;
@@ -447,25 +451,7 @@ fn transient_from_state(
             // Build companion models (full-length, zero-cap slots are
             // placeholders so state updates stay index-aligned).
             companions.clear();
-            for cap in &caps {
-                if cap.c <= 0.0 {
-                    companions.push(CompanionCap {
-                        a: cap.a,
-                        b: cap.b,
-                        geq: 0.0,
-                        ieq: 0.0,
-                    });
-                    continue;
-                }
-                let geq = cap.c / (theta * h_now);
-                let ieq = geq * cap.v_prev + (1.0 - theta) / theta * cap.i_prev;
-                companions.push(CompanionCap {
-                    a: cap.a,
-                    b: cap.b,
-                    geq,
-                    ieq,
-                });
-            }
+            companions.extend(caps.iter().map(|cap| cap.companion(theta, h_now)));
             let ctx = StampCtx {
                 time: t + h_now,
                 source_scale: 1.0,
@@ -476,11 +462,7 @@ fn transient_from_state(
             // LTE test below measures the converged point against.
             let history = x_prevprev.as_ref().map(|(xp, hp)| (xp.as_slice(), *hp));
             predict(&x, history, h_now, &mut pred);
-            let solved = match kernel.as_mut() {
-                Some(k) => k.solve(&pred, &ctx, options, &mut faults),
-                None => newton_solve(&mna, &pred, &ctx, options, &mut legacy_stats),
-            };
-            match solved {
+            match kernel.solve(&pred, &ctx, options, &mut faults) {
                 Ok((x_new, _iters)) => {
                     if faults.fire_lte() {
                         // Injected LTE rejection: discard the converged
@@ -553,10 +535,7 @@ fn transient_from_state(
         .map(|e| e.name().to_string())
         .collect();
     let mut stats = initial_stats;
-    match &kernel {
-        Some(k) => stats.merge(&k.stats()),
-        None => stats.merge(&legacy_stats),
-    }
+    stats.merge(&kernel.stats());
     stats.injected_faults += faults.fired();
     stats.tran_steps += (times.len() - 1) as u64;
     stats.rejected_steps += rejected_steps;
@@ -570,7 +549,7 @@ fn transient_from_state(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use vls_device::{MosGeometry, MosModel, SourceWaveform};
 
@@ -764,9 +743,10 @@ mod tests {
         );
         c.add_capacitor("cl", out, Circuit::GROUND, 1e-15);
 
-        // Every (kernel × linear path) combination must produce the
-        // same accepted-step trajectory (identical Newton behaviour)
-        // and matching voltages throughout.
+        // The sparse path, with the default diagonal preference and
+        // with strict pivoting, must produce the same accepted-step
+        // trajectory (identical Newton behaviour) and matching voltages
+        // throughout.
         let dense = run_transient(&c, 4e-9, &opts()).unwrap();
         let variants = [
             SimOptions {
@@ -774,12 +754,8 @@ mod tests {
                 ..opts()
             },
             SimOptions {
-                kernel: KernelMode::Legacy,
-                ..opts()
-            },
-            SimOptions {
-                kernel: KernelMode::Legacy,
                 sparse_threshold: 0,
+                sparse_pivot_tol: 1.0,
                 ..opts()
             },
         ];
@@ -926,7 +902,7 @@ mod tests {
 
     /// An inverter driven by a PWL input whose falling corner at
     /// `RESUME_AT` is a breakpoint, with a full output edge after it.
-    fn pwl_inverter() -> Circuit {
+    pub(crate) fn pwl_inverter() -> Circuit {
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
         let inp = c.node("in");

@@ -66,9 +66,8 @@ impl TripletMatrix {
     }
 
     /// [`TripletMatrix::to_csc`] with a caller-owned scratch buffer, so
-    /// repeated compressions (AC analysis, ERC preflight, the legacy
-    /// Newton path) reuse one allocation instead of growing a fresh
-    /// per-column `Vec` on every call.
+    /// a caller that compresses repeatedly reuses one allocation instead
+    /// of growing a fresh per-column `Vec` on every call.
     pub fn to_csc_with(&self, scratch: &mut Vec<(usize, f64)>) -> CscMatrix {
         let n = self.n;
         // Count entries per column (duplicates included for now).

@@ -96,7 +96,7 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     /// Three escalated retries — enough to walk the full standard
-    /// ladder (tighter gmin → legacy kernel → smaller steps).
+    /// ladder (tighter gmin → strict pivoting → tighter steps).
     fn default() -> Self {
         Self { max_retries: 3 }
     }

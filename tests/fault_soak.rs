@@ -17,9 +17,7 @@
 
 use sstvs::cells::primitives::Inverter;
 use sstvs::cells::{Harness, ShifterKind, VoltagePair};
-use sstvs::engine::{
-    run_transient, solve_dc, EngineError, FaultPlan, KernelMode, SimOptions, SolverStructure,
-};
+use sstvs::engine::{run_transient, solve_dc, EngineError, FaultPlan, SimOptions, SolverStructure};
 use sstvs::netlist::chipgen::{generate_chip, ChipSpec};
 use sstvs::netlist::Circuit;
 use sstvs::num::rng::Xoshiro256pp;
@@ -60,12 +58,11 @@ fn victim() -> Harness {
     )
 }
 
-/// Base options for faulted runs: symbolic kernel on the sparse path
-/// (so the pivot hook is live) with bypassing on (so the poison hook
-/// is live), plan armed per trial seed.
+/// Base options for faulted runs: the sparse path (so the pivot hook
+/// is live) with bypassing on (so the poison hook is live), plan armed
+/// per trial seed.
 fn faulted_sim(plan: &FaultPlan, seed: u64) -> SimOptions {
     SimOptions {
-        kernel: KernelMode::Symbolic,
         sparse_threshold: 0,
         bypass_vtol: 1e-6,
         fault: plan.arm(seed),
@@ -300,7 +297,7 @@ fn solver_stats_counters_stay_consistent_under_injection() {
 }
 
 /// Satellite 1 (escalation leg) — the invariants hold on every rung of
-/// the retry ladder, including the legacy-kernel rungs.
+/// the retry ladder, including the strict-pivoting rungs.
 #[test]
 fn solver_stats_counters_stay_consistent_across_escalation() {
     let h = victim();
@@ -319,8 +316,7 @@ fn solver_stats_counters_stay_consistent_across_escalation() {
         );
         assert!(s.newton_iters >= s.linear_solves, "rung {rung}");
         assert!(s.refactor_fallbacks <= s.full_factorizations, "rung {rung}");
-        // Every rung books its device work, the Legacy kernel of
-        // rungs >= 2 included.
+        // Every rung books its device work.
         assert!(s.device_evals > 0, "rung {rung}: {}", s.render());
         assert!(s.cap_evals > 0, "rung {rung}: {}", s.render());
         if rung > 0 {
@@ -372,9 +368,8 @@ fn fuzzed_perturbations_never_panic_and_fail_typed() {
             let map = sample_perturbation(&h.circuit, &spec, &mut rng, |_| true);
             let mut circuit = h.circuit.clone();
             map.apply(&mut circuit);
-            // Exercise both analysis kinds under the symbolic kernel.
+            // Exercise both analysis kinds on the sparse path.
             let sim = SimOptions {
-                kernel: KernelMode::Symbolic,
                 sparse_threshold: 0,
                 bypass_vtol: 1e-6,
                 ..SimOptions::default()
@@ -475,7 +470,6 @@ fn pivot_fault_fires_the_degrade_hook_on_structured_paths() {
     let plan = FaultPlan::parse("pivot").unwrap();
     for structure in [SolverStructure::Ordered, SolverStructure::Islands] {
         let clean_sim = SimOptions {
-            kernel: KernelMode::Symbolic,
             sparse_threshold: 0,
             structure,
             ..SimOptions::default()

@@ -1,29 +1,37 @@
-//! Golden equivalence suite for the symbolic-reuse Newton kernel.
+//! Golden equivalence suite for the symbolic-reuse Newton kernel, the
+//! one Newton loop every DC, DC-sweep and transient solve runs on:
 //!
-//! The symbolic kernel (pattern-scatter assembly, numeric-only
-//! refactorization, reusable workspaces, device/cap bypass) is the
-//! default hot path; this file pins it to the legacy
-//! rebuild-everything path:
-//!
-//! * on the dense linear path both kernels perform identical
-//!   arithmetic, so all six cells must match **bit for bit** (far
-//!   inside the 1e-12 budget);
-//! * on the sparse path the kernel reuses the pivot order of its
-//!   first factorization instead of re-pivoting every iteration, so
-//!   the trajectories are equivalent within Newton's own tolerances
-//!   rather than bitwise — pinned here to 1e-8 V;
+//! * retry rung 2's concession (strict partial pivoting in natural
+//!   order, bypass off; `SimOptions::escalated`) against the default.
+//!   The dense path never reads the sparse pivot tolerance, so all six
+//!   cells must match **bit for bit**, with equal `SolverStats`. Forced
+//!   onto the sparse path the two pivot orders round differently, so
+//!   the trajectories agree within 1e-8 V over the same accepted steps;
+//! * the sparse path against the dense path, within 1e-8 V;
+//! * structure reuse as a counter invariant on a floorplan above the
+//!   sparse threshold: every kernel factorizes in full once plus once
+//!   per counted pivot-health fallback, refactorizes on every other
+//!   linear solve, and with default options refactorizes on at least
+//!   90 % of them;
 //! * bypass is an approximation bounded by `bypass_vtol`; a property
 //!   test checks bypass-on vs bypass-off transients stay within the
 //!   solver's `reltol`/`lte_tol` band across randomized Monte Carlo
 //!   process perturbations;
 //! * the `SolverStats` counters must be nonzero and plumbed all the
 //!   way into the runner's `RunReport`.
+//!
+//! The kernel's assembly is pinned to a from-scratch `Mna::assemble` by
+//! the `vls-engine` unit test
+//! `scatter_assembly_equals_a_from_scratch_assembly`, and numeric-only
+//! refactorization to a full factorization by the `vls-num` unit test
+//! `refactorize_matches_full_factorization_bitwise`.
 
 use sstvs::cells::primitives::Inverter;
 use sstvs::cells::{Harness, KhanSsvs, PuriSsvs, ShifterKind, VoltagePair};
-use sstvs::engine::{run_transient, KernelMode, SimOptions, TransientResult};
+use sstvs::engine::{run_transient, solve_dc, SimOptions, SolverStats, TransientResult};
 use sstvs::flows::experiments::tables::{monte_carlo_stats_reported, DEFAULT_MC_SEED};
 use sstvs::flows::CharacterizeOptions;
+use sstvs::netlist::chipgen::{generate_chip, ChipSpec};
 use sstvs::netlist::{Circuit, Element};
 use sstvs::num::rng::Xoshiro256pp;
 use sstvs::runner::RunnerOptions;
@@ -33,12 +41,20 @@ use sstvs::variation::{sample_perturbation, VariationSpec};
 /// plenty of Newton work without the full two-cycle runtime.
 const TSTOP: f64 = 4e-9;
 
-fn sim(kernel: KernelMode, bypass_vtol: f64, sparse_threshold: usize) -> SimOptions {
+fn sim(bypass_vtol: f64, sparse_threshold: usize) -> SimOptions {
     SimOptions {
-        kernel,
         bypass_vtol,
         sparse_threshold,
         ..SimOptions::default()
+    }
+}
+
+/// Retry rung 2's concession on top of `base`: everything
+/// `escalated(2)` changes except rung 1's raised gmin.
+fn strict(base: &SimOptions) -> SimOptions {
+    SimOptions {
+        gmin: base.gmin,
+        ..base.escalated(2)
     }
 }
 
@@ -78,11 +94,7 @@ fn run(circuit: &Circuit, options: &SimOptions) -> TransientResult {
 /// Worst absolute deviation between two same-length transients on a
 /// probe node; panics if the accepted-step sequences differ.
 fn worst_deviation(a: &TransientResult, b: &TransientResult, probe: sstvs::netlist::NodeId) -> f64 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "kernels accepted different step sequences"
-    );
+    assert_eq!(a.len(), b.len(), "runs accepted different step sequences");
     a.node_series(probe)
         .iter()
         .zip(&b.node_series(probe))
@@ -91,23 +103,24 @@ fn worst_deviation(a: &TransientResult, b: &TransientResult, probe: sstvs::netli
 }
 
 #[test]
-fn symbolic_kernel_is_bit_identical_to_legacy_on_all_six_cells() {
+fn strict_pivoting_matches_the_default_on_all_six_cells() {
+    let dense = sim(0.0, 64);
+    let sparse = sim(0.0, 0);
     for (kind, domains) in six_cells() {
         let h = build(&kind, domains);
-        let legacy = run(&h.circuit, &sim(KernelMode::Legacy, 0.0, 64));
-        let symbolic = run(&h.circuit, &sim(KernelMode::Symbolic, 0.0, 64));
+        let label = kind.label();
+        let default = run(&h.circuit, &dense);
+        let strict_run = run(&h.circuit, &strict(&dense));
         assert_eq!(
-            legacy.len(),
-            symbolic.len(),
-            "{}: kernels accepted different step sequences",
-            kind.label()
+            default.len(),
+            strict_run.len(),
+            "{label}: rung 2 accepted different steps on the dense path"
         );
         // Identical arithmetic is identical work: every counter agrees.
         assert_eq!(
-            legacy.solver_stats(),
-            symbolic.solver_stats(),
-            "{}: kernels booked different work",
-            kind.label()
+            default.solver_stats(),
+            strict_run.solver_stats(),
+            "{label}: rung 2 booked different work on the dense path"
         );
         let mosfets = h
             .circuit
@@ -120,79 +133,119 @@ fn symbolic_kernel_is_bit_identical_to_legacy_on_all_six_cells() {
         // last accepted point needs 2.5-2.9), and no step is rejected.
         // With bypass off, every iteration evaluates every MOSFET and
         // every accepted step refreshes every MOSFET's capacitances.
-        for (arm, res) in [("legacy", &legacy), ("symbolic", &symbolic)] {
-            let stats = res.solver_stats();
-            let steps = (res.len() - 1) as u64;
-            assert_eq!(stats.tran_steps, steps, "{} {arm}", kind.label());
-            assert_eq!(stats.rejected_steps, 0, "{} {arm}", kind.label());
-            assert_eq!(
-                stats.device_evals,
-                mosfets * stats.newton_iters,
-                "{} {arm}: {}",
-                kind.label(),
-                stats.render()
-            );
-            assert_eq!(
-                stats.cap_evals,
-                mosfets * stats.tran_steps,
-                "{} {arm}: {}",
-                kind.label(),
-                stats.render()
-            );
-            let per_step = stats.newton_iters as f64 / steps as f64;
-            assert!(
-                per_step <= 2.2,
-                "{} {arm}: {per_step:.3} Newton iterations per accepted step",
-                kind.label()
-            );
-        }
+        let stats = default.solver_stats();
+        let steps = (default.len() - 1) as u64;
+        assert_eq!(stats.tran_steps, steps, "{label}");
+        assert_eq!(stats.rejected_steps, 0, "{label}");
+        assert_eq!(
+            stats.device_evals,
+            mosfets * stats.newton_iters,
+            "{label}: {}",
+            stats.render()
+        );
+        assert_eq!(
+            stats.cap_evals,
+            mosfets * stats.tran_steps,
+            "{label}: {}",
+            stats.render()
+        );
+        let per_step = stats.newton_iters as f64 / steps as f64;
+        assert!(
+            per_step <= 2.2,
+            "{label}: {per_step:.3} Newton iterations per accepted step"
+        );
         for probe in [h.input, h.output] {
-            let a = legacy.node_series(probe);
-            let b = symbolic.node_series(probe);
+            let a = default.node_series(probe);
+            let b = strict_run.node_series(probe);
             for (k, (x, y)) in a.iter().zip(&b).enumerate() {
-                // Bitwise equality implies the 1e-12 budget with room
-                // to spare.
                 assert_eq!(
                     x.to_bits(),
                     y.to_bits(),
-                    "{}: kernels diverged at sample {k}: {x} vs {y}",
-                    kind.label()
+                    "{label}: rung 2 diverged at sample {k}: {x} vs {y}"
                 );
             }
         }
+
+        // Forced sparse: strict pivoting re-pivots where the default
+        // keeps a diagonal pivot, so the two round differently, far
+        // inside Newton's vabstol (1e-6 V), over the same steps.
+        let default = run(&h.circuit, &sparse);
+        let strict_run = run(&h.circuit, &strict(&sparse));
+        let d = worst_deviation(&default, &strict_run, h.output);
+        assert!(d <= 1e-8, "{label}: sparse rung 2 strayed {d:.3e} V");
     }
 }
 
 #[test]
-fn sparse_kernel_agrees_with_legacy_and_dense_paths() {
-    // Extends `sparse_and_dense_paths_agree` (engine unit suite) to
-    // the kernel matrix: force the sparse solver on the SS-TVS cell
-    // and pin all four (kernel × linear path) combinations together.
+fn sparse_kernel_agrees_with_the_dense_path() {
+    // Extends `sparse_and_dense_paths_agree` (engine unit suite) to the
+    // SS-TVS cell, under both pivot tolerances.
     let h = build(&ShifterKind::sstvs(), VoltagePair::low_to_high());
-    let legacy_dense = run(&h.circuit, &sim(KernelMode::Legacy, 0.0, 64));
-    let legacy_sparse = run(&h.circuit, &sim(KernelMode::Legacy, 0.0, 0));
-    let symbolic_sparse = run(&h.circuit, &sim(KernelMode::Symbolic, 0.0, 0));
+    let dense = run(&h.circuit, &sim(0.0, 64));
+    for options in [sim(0.0, 0), strict(&sim(0.0, 0))] {
+        let sparse = run(&h.circuit, &options);
+        let tol = options.sparse_pivot_tol;
+        let d = worst_deviation(&dense, &sparse, h.output);
+        assert!(
+            d <= 1e-8,
+            "pivot tolerance {tol}: sparse vs dense strayed {d:.3e} V"
+        );
+        let stats = sparse.solver_stats();
+        assert!(
+            stats.refactorizations > 0 && stats.full_factorizations > 0,
+            "pivot tolerance {tol}: {}",
+            stats.render()
+        );
+    }
+}
 
-    // Frozen-pivot refactorization vs per-iteration re-pivoting: the
-    // trajectories agree far inside Newton's vabstol (1e-6 V) but not
-    // bitwise; 1e-8 V pins the observed ~2.6e-9 V with margin.
-    let d = worst_deviation(&legacy_sparse, &symbolic_sparse, h.output);
-    assert!(d <= 1e-8, "sparse kernels strayed {d:.3e} V apart");
-    // Sparse vs dense linear algebra under the symbolic kernel.
-    let d = worst_deviation(&legacy_dense, &symbolic_sparse, h.output);
-    assert!(d <= 1e-8, "sparse vs dense strayed {d:.3e} V apart");
+/// The structure-reuse invariants of a run that built `kernels`
+/// kernels: each factorizes in full on its first linear solve and again
+/// on every counted pivot-health fallback, and refactorizes on every
+/// other one.
+fn assert_reuse_invariants(s: &SolverStats, kernels: u64, what: &str) {
+    assert_eq!(
+        s.full_factorizations,
+        kernels + s.refactor_fallbacks,
+        "{what}: {}",
+        s.render()
+    );
+    assert_eq!(
+        s.refactorizations,
+        s.linear_solves - s.full_factorizations,
+        "{what}: {}",
+        s.render()
+    );
+}
 
-    let stats = symbolic_sparse.solver_stats();
-    assert!(
-        stats.refactorizations > 0,
-        "sparse kernel never refactorized: {}",
-        stats.render()
-    );
-    assert!(
-        stats.full_factorizations > 0,
-        "sparse kernel never fully factorized: {}",
-        stats.render()
-    );
+#[test]
+fn structure_reuse_holds_as_a_counter_invariant() {
+    // A floorplan above the sparse threshold, on the default natural
+    // order. What makes the kernel fast on sparse circuits is that
+    // nearly every linear solve replays the frozen structure.
+    let chip = generate_chip(&ChipSpec {
+        instances: 20,
+        islands: 3,
+        seed: 0x5510_c0de,
+    })
+    .flatten();
+    let default = SimOptions::default();
+    assert!(sstvs::engine::unknown_count(&chip) > default.sparse_threshold);
+    for (what, options) in [("default", default.clone()), ("rung 2", strict(&default))] {
+        let dc = solve_dc(&chip, &options).expect("DC converges");
+        assert_reuse_invariants(&dc.solver_stats(), 1, &format!("{what} DC"));
+        // The transient builds two kernels: its DC solve's and its own.
+        let tran = run_transient(&chip, 0.5e-9, &options).expect("transient converges");
+        let s = tran.solver_stats();
+        assert_reuse_invariants(&s, 2, &format!("{what} transient"));
+        if what == "default" {
+            assert!(
+                10 * s.refactorizations >= 9 * s.linear_solves,
+                "under 90 % of linear solves refactorized: {}",
+                s.render()
+            );
+        }
+    }
 }
 
 /// Linear interpolation of a transient at time `t`.
@@ -218,8 +271,8 @@ fn bypass_stays_within_solver_tolerances_across_mc_perturbations() {
     let domains = VoltagePair::low_to_high();
     let reference = build(&ShifterKind::sstvs(), domains);
     let spec = VariationSpec::paper();
-    let exact_sim = sim(KernelMode::Symbolic, 0.0, 64);
-    let bypass_sim = sim(KernelMode::Symbolic, 1e-4, 64);
+    let exact_sim = sim(0.0, 64);
+    let bypass_sim = sim(1e-4, 64);
     // Bypass perturbs the Newton trajectory, which shifts edge timing
     // within reltol; on a 50 ps edge that timing shift converts to a
     // few millivolts of pointwise deviation.
@@ -262,17 +315,13 @@ fn bypass_stays_within_solver_tolerances_across_mc_perturbations() {
 fn solver_stats_are_nonzero_and_reach_the_run_report() {
     let h = build(&ShifterKind::sstvs(), VoltagePair::low_to_high());
 
-    // Exact symbolic run: every hot-path counter but the bypass ones.
-    let stats = run(&h.circuit, &sim(KernelMode::Symbolic, 0.0, 64)).solver_stats();
+    // Exact run: every hot-path counter but the bypass ones.
+    let stats = run(&h.circuit, &sim(0.0, 64)).solver_stats();
     assert!(stats.newton_iters > 0 && stats.linear_solves > 0);
     assert!(stats.full_factorizations > 0);
     assert!(stats.device_evals > 0 && stats.cap_evals > 0);
     assert_eq!(stats.device_bypasses, 0, "bypass engaged while disabled");
     assert_eq!(stats.cap_bypasses, 0, "cap bypass engaged while disabled");
-
-    // The legacy path counts its Newton work too.
-    let legacy = run(&h.circuit, &sim(KernelMode::Legacy, 0.0, 64)).solver_stats();
-    assert!(legacy.newton_iters > 0 && legacy.full_factorizations > 0);
 
     // End-to-end plumbing: characterization trials fold their counters
     // through `characterize_with_stats` into the runner's RunReport.
