@@ -144,8 +144,7 @@ pub fn run_ac(
         reactive: None,
     };
     mna.assemble(x, &mut g_trip, &mut b_unused, &ctx);
-    let mut csc_scratch: Vec<(usize, f64)> = Vec::new();
-    let g = g_trip.to_csc_with(&mut csc_scratch);
+    let g = g_trip.to_csc();
 
     // Capacitance stamps: explicit caps plus Meyer caps at the op, in
     // element order.

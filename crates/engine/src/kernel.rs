@@ -32,11 +32,9 @@
 use vls_device::{BoundMos, MosBias, MosCaps, MosCapsCache, MosStamp, MosStampCache};
 use vls_fault::FaultSession;
 use vls_num::{
-    invert_permutation, is_identity, weighted_converged, CscMatrix, DenseLu, DenseMatrix,
-    IslandFactor, IslandOutcome, IslandPartition, NumError, SchurStructure, SolverStats, SparseLu,
-    TripletMatrix,
+    invert_permutation, is_identity, weighted_converged, CscMatrix, DenseLu, DenseMatrix, NumError,
+    SolverStats, SparseLu, TripletMatrix,
 };
-use vls_runner::{run_indexed_mut, RunnerOptions};
 
 use crate::dc::{singular_failure, NewtonFailure};
 use crate::mna::{CompanionCap, MatrixSink, Mna, StampCtx};
@@ -139,21 +137,6 @@ enum LinearPath {
         /// Permuted solution workspace.
         px: Vec<f64>,
     },
-    /// Island-partitioned Schur solve (`SolverStructure::Islands`):
-    /// the pattern is compiled in block order `[island 0 …, boundary]`,
-    /// islands factorize independently (fanned over `jobs` workers, all
-    /// reductions in island index order → bitwise worker-count
-    /// independence), coupled through a dense boundary complement.
-    Islands {
-        structure: SchurStructure,
-        factors: Vec<IslandFactor>,
-        boundary_lu: Option<DenseLu>,
-        pattern: CscMatrix,
-        map: Vec<usize>,
-        pb: Vec<f64>,
-        px: Vec<f64>,
-        jobs: RunnerOptions,
-    },
 }
 
 /// A per-circuit Newton solver with one-time symbolic analysis,
@@ -243,26 +226,6 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                         }
                     }
                 }
-                SolverStructure::Islands => {
-                    let (natural, _) = t.compile();
-                    let part = IslandPartition::tear(&natural, &mna.boundary_unknowns());
-                    let (pattern, map) = t.compile_permuted(part.new_of());
-                    let structure = SchurStructure::new(&pattern, part);
-                    let factors = structure.new_factors();
-                    LinearPath::Islands {
-                        structure,
-                        factors,
-                        boundary_lu: None,
-                        pattern,
-                        map,
-                        pb: vec![0.0; n],
-                        px: vec![0.0; n],
-                        jobs: options
-                            .solver_jobs
-                            .map(RunnerOptions::with_jobs)
-                            .unwrap_or_default(),
-                    }
-                }
             }
         } else {
             LinearPath::Dense {
@@ -348,9 +311,7 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                 a.clear();
                 mna.assemble_with_eval(x, a, b, ctx, &mut eval);
             }
-            LinearPath::Sparse { pattern, map, .. }
-            | LinearPath::Ordered { pattern, map, .. }
-            | LinearPath::Islands { pattern, map, .. } => {
+            LinearPath::Sparse { pattern, map, .. } | LinearPath::Ordered { pattern, map, .. } => {
                 pattern.reset_values();
                 let mut sink = PatternScatter {
                     values: pattern.values_mut(),
@@ -453,86 +414,6 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                         *xo = px[new_of[old]];
                     }
                 }
-                LinearPath::Islands {
-                    structure,
-                    factors,
-                    boundary_lu,
-                    pattern,
-                    pb,
-                    px,
-                    jobs,
-                    ..
-                } => {
-                    let tol = options.sparse_pivot_tol;
-                    if boundary_lu.is_some() && faults.fire_pivot() {
-                        // Injected drift on the partitioned path: island
-                        // 0's next numeric replay reports a pivot-health
-                        // failure and takes the full re-pivot fallback.
-                        if let Some(f0) = factors.first_mut() {
-                            f0.degrade_pivot_health();
-                        }
-                    }
-                    // Per-island factorization fans across the workers;
-                    // results come back in island index order, so the
-                    // counter accumulation and first-error choice below
-                    // are schedule-independent.
-                    let values: &[f64] = pattern.values();
-                    let outcomes = run_indexed_mut(factors, jobs, |i, f| {
-                        structure.factor_island(values, i, f, tol)
-                    });
-                    let mut first_err: Option<NumError> = None;
-                    for outcome in outcomes {
-                        match outcome {
-                            Ok(IslandOutcome::Full) => stats.full_factorizations += 1,
-                            Ok(IslandOutcome::Refactorized) => stats.refactorizations += 1,
-                            Ok(IslandOutcome::Fallback) => {
-                                stats.refactor_fallbacks += 1;
-                                stats.full_factorizations += 1;
-                            }
-                            Err(e) => {
-                                if first_err.is_none() {
-                                    first_err = Some(e);
-                                }
-                            }
-                        }
-                    }
-                    if let Some(e) = first_err {
-                        return Err(singular_failure(
-                            mna,
-                            Some(structure.partition().permutation()),
-                            &e,
-                        ));
-                    }
-                    match structure.reduce(values, factors) {
-                        Ok(f) => *boundary_lu = Some(f),
-                        Err(e) => {
-                            return Err(singular_failure(
-                                mna,
-                                Some(structure.partition().permutation()),
-                                &e,
-                            ))
-                        }
-                    }
-                    let new_of = structure.partition().new_of();
-                    for (old, &bv) in b.iter().enumerate() {
-                        pb[new_of[old]] = bv;
-                    }
-                    if structure
-                        .solve(
-                            values,
-                            factors,
-                            boundary_lu.as_ref().expect("reduced above"),
-                            pb,
-                            px,
-                        )
-                        .is_err()
-                    {
-                        return Err(NewtonFailure::Singular(None));
-                    }
-                    for (old, xo) in x_new.iter_mut().enumerate() {
-                        *xo = px[new_of[old]];
-                    }
-                }
             }
             stats.linear_solves += 1;
 
@@ -578,63 +459,39 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
     }
 }
 
-/// Structural summary of how [`SolverStructure::Islands`] would tear a
-/// circuit's DC pattern: the boundary block the Schur complement
-/// couples, and the independent interior islands. Computed from
-/// topology alone — no solve is run. Benches and golden tests use this
-/// to pin partition shapes (e.g. a rail-shorted floorplan collapsing
-/// to one island) without reaching into the kernel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IslandReport {
-    /// Total MNA unknowns (nodes minus ground, plus branch currents).
-    pub unknowns: usize,
-    /// Independent interior islands after tearing the boundary.
-    pub islands: usize,
-    /// Torn unknowns coupled through the dense Schur block.
-    pub boundary: usize,
-    /// Unknown count of the largest island — the serial depth of the
-    /// parallel factorization phase.
-    pub largest_island: usize,
-}
-
-/// Tears `circuit`'s DC pattern the way the islands solver would and
-/// reports the partition shape. Uses the same symbolic probe as the
-/// kernel, so the report matches what a DC solve with
-/// [`SolverStructure::Islands`] actually builds.
-pub fn island_report(circuit: &vls_netlist::Circuit, options: &SimOptions) -> IslandReport {
-    let mna = Mna::new(circuit, options.temperature.as_kelvin());
-    let n = mna.n_unknowns;
-    let mut t = TripletMatrix::new(n);
-    let mut b = vec![0.0; n];
-    let x0 = vec![0.0; n];
-    let probe_ctx = StampCtx {
-        time: 0.0,
-        source_scale: 0.0,
-        gmin: options.gmin,
-        reactive: None,
-    };
-    mna.assemble_with_eval(&x0, &mut t, &mut b, &probe_ctx, &mut |_, _, _| {
-        MosStamp::default()
-    });
-    let (pattern, _) = t.compile();
-    let part = IslandPartition::tear(&pattern, &mna.boundary_unknowns());
-    IslandReport {
-        unknowns: n,
-        islands: part.island_count(),
-        boundary: part.boundary_len(),
-        largest_island: part.largest_island(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use vls_netlist::chipgen::{generate_chip, ChipSpec};
+    use vls_netlist::chipgen::{generate_chip, spec_for_unknowns, ChipSpec};
     use vls_netlist::Circuit;
 
     use super::*;
-    use crate::run_transient;
-    use crate::tran::dynamic_caps;
     use crate::tran::tests::pwl_inverter;
+    use crate::tran::{dynamic_caps, DynamicCap};
+    use crate::{run_transient, solve_dc};
+
+    /// A flattened chipgen floorplan of `instances` units on three
+    /// islands: sparse by size from 20 units up.
+    fn chip(instances: usize) -> Circuit {
+        generate_chip(&ChipSpec {
+            instances,
+            islands: 3,
+            seed: 0x5510_c0de,
+        })
+        .flatten()
+    }
+
+    /// Sets every MOSFET's five Meyer capacitances in `caps` (laid out
+    /// as [`dynamic_caps`] returns them) to their values at `x`.
+    fn set_meyer_caps(mna: &Mna<'_>, mos_caps: &[usize], caps: &mut [DynamicCap], x: &[f64]) {
+        for (m, &base) in mna.mosfets().iter().zip(mos_caps) {
+            let bias = m.bias(x);
+            let mc = m.dev.caps(bias.vg, bias.vd, bias.vs, bias.vb);
+            let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
+            for (cap, c) in caps[base..base + 5].iter_mut().zip(values) {
+                cap.c = c;
+            }
+        }
+    }
 
     /// Checks the kernel's DC and transient assemblies against a
     /// from-scratch `Mna::assemble` into a fresh triplet matrix,
@@ -675,14 +532,7 @@ mod tests {
             } else {
                 t - times[s - 1]
             };
-            for (m, &base) in mna.mosfets().iter().zip(&mos_caps) {
-                let bias = m.bias(x);
-                let mc = m.dev.caps(bias.vg, bias.vd, bias.vs, bias.vb);
-                let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
-                for (cap, c) in caps[base..base + 5].iter_mut().zip(values) {
-                    cap.c = c;
-                }
-            }
+            set_meyer_caps(&mna, &mos_caps, &mut caps, x);
             let volt = |i: Option<usize>| i.map_or(0.0, |i| x[i]);
             let companions: Vec<CompanionCap> = caps
                 .iter_mut()
@@ -727,12 +577,7 @@ mod tests {
     #[test]
     fn scatter_assembly_equals_a_from_scratch_assembly() {
         // A chipgen floorplan, sparse by size, in both sparse orders.
-        let chip = generate_chip(&ChipSpec {
-            instances: 20,
-            islands: 3,
-            seed: 0x5510_c0de,
-        })
-        .flatten();
+        let chip = chip(20);
         for structure in [SolverStructure::Natural, SolverStructure::Ordered] {
             let options = SimOptions {
                 structure,
@@ -747,5 +592,69 @@ mod tests {
             ..SimOptions::default()
         };
         assert!(check_assembly(&pwl_inverter(), &options, 2.5e-9, false) > 10);
+    }
+
+    #[test]
+    fn rung_two_keeps_the_callers_sparse_order() {
+        let chip = chip(20);
+        let options = SimOptions {
+            structure: SolverStructure::Ordered,
+            ..SimOptions::default()
+        }
+        .escalated(2);
+        let mna = Mna::new(&chip, options.temperature.as_kelvin());
+        let k = NewtonKernel::new(&mna, &options, None);
+        assert!(
+            matches!(k.path, LinearPath::Ordered { .. }),
+            "rung 2 left the minimum-degree order"
+        );
+    }
+
+    /// The first factorization of the `chip_tran` size floorplan's
+    /// transient Jacobian (at its DC point, Meyer capacitances there,
+    /// 1 ps backward-Euler companions): minimum-degree order stores at
+    /// most a tenth of the natural order's factor entries.
+    #[test]
+    fn minimum_degree_cuts_transient_fill_tenfold_on_a_chip_tran_floorplan() {
+        let chip = generate_chip(&spec_for_unknowns(150, 3, 0x5510_c0de)).flatten();
+        let options = SimOptions::default();
+        let dc = solve_dc(&chip, &options).expect("DC converges");
+        let x = dc.unknowns();
+        let mna = Mna::new(&chip, options.temperature.as_kelvin());
+        assert_eq!(mna.n_unknowns, 156);
+        let (mut caps, mos_caps) = dynamic_caps(&chip, &mna);
+        set_meyer_caps(&mna, &mos_caps, &mut caps, x);
+        let companions: Vec<CompanionCap> =
+            caps.iter().map(|cap| cap.companion(1.0, 1e-12)).collect();
+        let ctx = StampCtx {
+            time: 0.0,
+            source_scale: 1.0,
+            gmin: options.gmin,
+            reactive: Some(&companions),
+        };
+        let factor_nnz = |structure| {
+            let options = SimOptions {
+                structure,
+                ..options.clone()
+            };
+            let mut k = NewtonKernel::new(&mna, &options, Some(&companions));
+            k.x.clear();
+            k.x.extend_from_slice(x);
+            k.assemble(&ctx, false, 0.0);
+            let (LinearPath::Sparse { pattern, .. } | LinearPath::Ordered { pattern, .. }) =
+                &k.path
+            else {
+                panic!("not a sparse path");
+            };
+            SparseLu::factorize_with_tolerance(pattern, options.sparse_pivot_tol)
+                .expect("the Jacobian factorizes")
+                .factor_nnz()
+        };
+        let natural = factor_nnz(SolverStructure::Natural);
+        let ordered = factor_nnz(SolverStructure::Ordered);
+        assert!(
+            10 * ordered <= natural,
+            "minimum-degree fill {ordered} is not a tenth of natural order's {natural}"
+        );
     }
 }

@@ -46,7 +46,6 @@ mod tran;
 
 pub use ac::{log_space, run_ac, AcResult};
 pub use dc::{solve_dc, solve_dc_warm, DcSolution, DcSolveStats};
-pub use kernel::{island_report, IslandReport};
 pub use mna::unknown_count;
 pub use op_report::{op_report, MosRegion, OpEntry, OpReport};
 pub use options::{SimOptions, SolverStructure};

@@ -250,36 +250,6 @@ impl<'c> Mna<'c> {
         }
     }
 
-    /// The boundary set for island tearing: every non-ground node
-    /// incident to a voltage source plus every branch-current unknown,
-    /// sorted and deduplicated.
-    ///
-    /// Branch unknowns must always be boundary — a voltage-source row
-    /// has a zero diagonal, so a branch torn out alone would be a
-    /// structurally singular singleton island. Source-incident nodes
-    /// are the shared nets (rails, stimulus) that couple otherwise
-    /// independent cell instances; removing them is what makes the
-    /// remaining components small.
-    pub fn boundary_unknowns(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (elem_idx, e) in self.circuit.elements().iter().enumerate() {
-            if let Element::VoltageSource { pos, neg, .. } = e {
-                if let Some(i) = self.idx(*pos) {
-                    out.push(i);
-                }
-                if let Some(j) = self.idx(*neg) {
-                    out.push(j);
-                }
-            }
-            if let Some(br) = self.branch_of[elem_idx] {
-                out.push(br);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Assembles the linearized MNA system at iterate `x` into `a`
     /// (pre-cleared by the caller) and `b` (pre-zeroed), evaluating
     /// every MOSFET directly. Returns the number of MOSFET evaluations
@@ -445,7 +415,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_names_and_boundary_cover_nodes_and_branches() {
+    fn unknown_names_cover_nodes_and_branches() {
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
         let mid = c.node("mid");
@@ -459,9 +429,6 @@ mod tests {
         assert_eq!(mna.unknown_name(1), "mid");
         assert_eq!(mna.unknown_name(2), "out");
         assert_eq!(mna.unknown_name(3), "I(vsup)");
-        // Boundary = the source-incident node plus its branch current;
-        // mid/out stay interior.
-        assert_eq!(mna.boundary_unknowns(), vec![0, 3]);
     }
 
     #[test]

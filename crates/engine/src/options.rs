@@ -4,10 +4,10 @@ use vls_check::CheckLevel;
 use vls_fault::FaultPlan;
 use vls_units::Temperature;
 
-/// How the sparse linear system is *structured* before factorization.
-/// Only the sparse path honors this; dense circuits (at or below
-/// [`SimOptions::sparse_threshold`]) have no order to choose, and retry
-/// rung 2 and up ([`SimOptions::escalated`]) solve in natural order.
+/// The order in which the sparse linear system is factorized. Only the
+/// sparse path honors this; dense circuits (at or below
+/// [`SimOptions::sparse_threshold`]) have no order to choose. Every
+/// retry rung ([`SimOptions::escalated`]) keeps the caller's order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverStructure {
     /// Natural MNA unknown order, flat LU. The default: bit-identical
@@ -21,13 +21,6 @@ pub enum SolverStructure {
     /// kernel provably produces the natural factorization and quietly
     /// uses the `Natural` path.
     Ordered,
-    /// Island-partitioned Schur solve: boundary unknowns (voltage-source
-    /// nets and every branch current) are torn out, the remaining
-    /// connected components factorize independently (each under its own
-    /// minimum-degree order, fanned across [`SimOptions::solver_jobs`]
-    /// workers), coupled through a dense Schur complement on the
-    /// boundary. Bitwise identical at any worker count.
-    Islands,
 }
 
 /// Tolerances and controls shared by all analyses. The defaults follow
@@ -96,17 +89,10 @@ pub struct SimOptions {
     /// for one transient run — the stepper's deterministic timeout.
     /// `None` (the default) is unlimited.
     pub step_budget: Option<u64>,
-    /// Sparse linear-system structuring: natural order (the default,
-    /// bit-identical to prior behavior), fill-reducing minimum-degree
-    /// ordering, or the island-partitioned Schur solver. The dense path
-    /// ignores it.
+    /// Sparse factorization order: natural (the default, bit-identical
+    /// to prior behavior) or fill-reducing minimum-degree. The dense
+    /// path ignores it.
     pub structure: SolverStructure,
-    /// Worker threads for the island-partitioned solver's per-island
-    /// factorization fan-out. `None` defers to the `VLS_JOBS`
-    /// environment variable, then to available parallelism (the
-    /// `vls-runner` resolution rule). Results never depend on this —
-    /// only wall time does.
-    pub solver_jobs: Option<usize>,
 }
 
 impl Default for SimOptions {
@@ -131,7 +117,6 @@ impl Default for SimOptions {
             newton_budget: None,
             step_budget: None,
             structure: SolverStructure::default(),
-            solver_jobs: None,
         }
     }
 }
@@ -155,14 +140,14 @@ impl SimOptions {
     /// * rung 1 — gmin floor raised 100× (stiffer regularization pulls
     ///   floating/bistable nodes toward convergence);
     /// * rung 2 — additionally strict partial pivoting
-    ///   (`sparse_pivot_tol = 1.0`) in natural order with bypassing off.
-    ///   A frozen pivot that is no longer its column's largest candidate
-    ///   fails the refactorization health check, so the sparse path
-    ///   factorizes as a fresh strict-pivoting factorization would, and
-    ///   no linearization is replayed from a cache. The dense path
-    ///   already pivots strictly, so on a circuit of at most
-    ///   [`SimOptions::sparse_threshold`] unknowns with bypass off
-    ///   this rung repeats rung 1;
+    ///   (`sparse_pivot_tol = 1.0`) with bypassing off, in the caller's
+    ///   sparse order. A frozen pivot that is no longer its column's
+    ///   largest candidate fails the refactorization health check, so
+    ///   the sparse path factorizes as a fresh strict-pivoting
+    ///   factorization would, and no linearization is replayed from a
+    ///   cache. The dense path already pivots strictly, so on a circuit
+    ///   of at most [`SimOptions::sparse_threshold`] unknowns with
+    ///   bypass off this rung repeats rung 1;
     /// * rung 3+ — additionally quarters the LTE tolerance and the
     ///   initial transient step, and the maximum step when one is set
     ///   (LTE headroom on every stepper path, whatever `max_step` a
@@ -182,7 +167,6 @@ impl SimOptions {
         if rung >= 2 {
             o.sparse_pivot_tol = 1.0;
             o.bypass_vtol = 0.0;
-            o.structure = SolverStructure::Natural;
         }
         if rung >= 3 {
             o.lte_tol = self.lte_tol / 4.0;
@@ -210,10 +194,8 @@ mod tests {
         assert!(o.fault.is_empty());
         assert_eq!(o.newton_budget, None);
         assert_eq!(o.step_budget, None);
-        // Natural structure is the bit-identity default; worker count
-        // for the island fan-out defers to the environment.
+        // Natural structure is the bit-identity default.
         assert_eq!(o.structure, SolverStructure::Natural);
-        assert_eq!(o.solver_jobs, None);
     }
 
     #[test]
@@ -223,7 +205,7 @@ mod tests {
             ..SimOptions::default()
         };
         base.fault = FaultPlan::parse("pivot").unwrap();
-        base.structure = SolverStructure::Islands;
+        base.structure = SolverStructure::Ordered;
         assert_eq!(base.escalated(0), base, "rung 0 is the base attempt");
         let r1 = base.escalated(1);
         assert!(r1.fault.is_empty(), "retries run clean");
@@ -231,7 +213,7 @@ mod tests {
         assert_eq!(r1.sparse_pivot_tol, base.sparse_pivot_tol);
         assert_eq!(
             r1.structure,
-            SolverStructure::Islands,
+            SolverStructure::Ordered,
             "rung 1 keeps the structure"
         );
         let r2 = base.escalated(2);
@@ -239,8 +221,8 @@ mod tests {
         assert_eq!(r2.sparse_pivot_tol, 1.0, "rung 2 pivots strictly");
         assert_eq!(
             r2.structure,
-            SolverStructure::Natural,
-            "rung 2 de-structures"
+            SolverStructure::Ordered,
+            "rung 2 keeps the structure"
         );
         assert_eq!(r2.max_step, base.max_step);
         assert_eq!(r2.lte_tol, base.lte_tol);

@@ -23,7 +23,7 @@
 //! trial's seed replays its exact faults.
 //!
 //! The crate sits at the bottom of the workspace (no dependencies) so
-//! `vls-engine`, `vls-runner` and the CLI can all speak the same plan
+//! `vls-engine`, `vls-serve` and the CLI can all speak the same plan
 //! language without cycles.
 
 /// One stage of the DC homotopy ladder — the addressing unit for
@@ -102,9 +102,6 @@ pub enum FaultSite {
     /// that hits once regardless of bias — the confirm-iteration
     /// guarantee must absorb it.
     BypassPoison,
-    /// Apply eviction pressure to warm-start operating-point caches
-    /// (effective capacity one), forcing the cold path.
-    CacheEvict,
 }
 
 impl FaultSite {
@@ -115,7 +112,6 @@ impl FaultSite {
             FaultSite::PivotHealth => "pivot".into(),
             FaultSite::LteStorm => "lte".into(),
             FaultSite::BypassPoison => "bypass".into(),
-            FaultSite::CacheEvict => "evict".into(),
         }
     }
 
@@ -127,9 +123,8 @@ impl FaultSite {
             "pivot" => Ok(FaultSite::PivotHealth),
             "lte" => Ok(FaultSite::LteStorm),
             "bypass" => Ok(FaultSite::BypassPoison),
-            "evict" => Ok(FaultSite::CacheEvict),
             other => Err(format!(
-                "unknown fault site `{other}` (newton@<stage>|pivot|lte|bypass|evict)"
+                "unknown fault site `{other}` (newton@<stage>|pivot|lte|bypass)"
             )),
         }
     }
@@ -245,8 +240,8 @@ impl FaultPlan {
 
     /// Parses the compact plan string: comma-separated specs, each
     /// `site[:count=N][:every=M:offset=K]`. Sites are
-    /// `newton@warm|plain|gmin|source`, `pivot`, `lte`, `bypass`,
-    /// `evict`. An empty string is the inert plan.
+    /// `newton@warm|plain|gmin|source`, `pivot`, `lte`, `bypass`. An
+    /// empty string is the inert plan.
     ///
     /// # Errors
     ///
@@ -314,7 +309,6 @@ pub struct FaultSession {
     pivot: u32,
     lte: u32,
     bypass: u32,
-    evict: u32,
     fired: u64,
 }
 
@@ -333,7 +327,6 @@ impl FaultSession {
                 FaultSite::PivotHealth => &mut s.pivot,
                 FaultSite::LteStorm => &mut s.lte,
                 FaultSite::BypassPoison => &mut s.bypass,
-                FaultSite::CacheEvict => &mut s.evict,
             };
             *slot = slot.saturating_add(spec.count);
         }
@@ -374,12 +367,6 @@ impl FaultSession {
         Self::take(bypass, fired)
     }
 
-    /// Whether eviction pressure is armed (a query, not a consuming
-    /// fire — pressure is a mode, not an event).
-    pub fn evict_pressure(&self) -> bool {
-        self.evict > 0
-    }
-
     /// Total injections fired so far — folded into
     /// `SolverStats::injected_faults` by the engine.
     pub fn fired(&self) -> u64 {
@@ -393,9 +380,9 @@ mod tests {
 
     #[test]
     fn plan_parses_and_round_trips() {
-        let text = "newton@gmin:count=2,pivot,lte:count=3:every=16:offset=5,bypass,evict";
+        let text = "newton@gmin:count=2,pivot,lte:count=3:every=16:offset=5,bypass";
         let plan = FaultPlan::parse(text).unwrap();
-        assert_eq!(plan.specs().len(), 5);
+        assert_eq!(plan.specs().len(), 4);
         assert_eq!(plan.render(), text);
         assert_eq!(FaultPlan::parse(&plan.render()).unwrap(), plan);
         assert_eq!(plan.specs()[0].site, FaultSite::Newton(LadderStage::Gmin));
@@ -408,6 +395,9 @@ mod tests {
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(FaultPlan::parse("  ,  ").unwrap().is_empty());
         assert!(FaultPlan::parse("nope").is_err());
+        // No cache reads eviction pressure, so `evict` is no site.
+        let evict = FaultPlan::parse("evict").unwrap_err();
+        assert!(evict.contains("unknown fault site `evict`"), "{evict}");
         assert!(FaultPlan::parse("newton@sideways").is_err());
         assert!(FaultPlan::parse("pivot:count=x").is_err());
         assert!(FaultPlan::parse("pivot:frequency=2").is_err());
@@ -431,7 +421,7 @@ mod tests {
 
     #[test]
     fn session_charges_are_consumed_exactly() {
-        let plan = FaultPlan::parse("newton@plain:count=2,pivot,bypass,evict").unwrap();
+        let plan = FaultPlan::parse("newton@plain:count=2,pivot,bypass").unwrap();
         let mut s = FaultSession::new(&plan);
         assert!(s.fire_newton(LadderStage::Plain));
         assert!(s.fire_newton(LadderStage::Plain));
@@ -441,8 +431,6 @@ mod tests {
         assert!(!s.fire_pivot());
         assert!(s.fire_bypass());
         assert!(!s.fire_lte());
-        assert!(s.evict_pressure());
-        assert!(s.evict_pressure(), "pressure is a mode, not consumed");
         assert_eq!(s.fired(), 4);
     }
 
@@ -453,7 +441,6 @@ mod tests {
             assert!(!s.fire_newton(stage));
         }
         assert!(!s.fire_pivot() && !s.fire_lte() && !s.fire_bypass());
-        assert!(!s.evict_pressure());
         assert_eq!(s.fired(), 0);
         assert_eq!(FaultSession::inert().fired(), 0);
     }

@@ -469,10 +469,9 @@ pub fn unknowns_of(flat: &Circuit) -> usize {
 
 /// Chains `ohms` resistors `u{j-1}_y → u{j}_a` across every generated
 /// unit, welding all signal units into one connected component. On a
-/// clean chip each unit's signal path is electrically private, so an
-/// island-partitioned solver sees one island per unit; after this
-/// shorting pass it must degrade to a single island (not an error) —
-/// the degenerate case the golden suite pins.
+/// clean chip each unit's signal path is electrically private; after
+/// this shorting pass all units form one connected interior — the
+/// welded floorplan the golden suite solves.
 ///
 /// # Panics
 ///

@@ -34,7 +34,6 @@ mod complex;
 mod dense;
 pub mod order;
 pub mod rng;
-mod schur;
 mod sparse;
 mod splu;
 mod stats;
@@ -43,7 +42,6 @@ mod vecops;
 pub use complex::{Complex, ComplexMatrix};
 pub use dense::{DenseLu, DenseMatrix};
 pub use order::{invert_permutation, is_identity, min_degree};
-pub use schur::{IslandFactor, IslandOutcome, IslandPartition, SchurSolver, SchurStructure};
 pub use sparse::{CscMatrix, TripletMatrix};
 pub use splu::SparseLu;
 pub use stats::SolverStats;

@@ -32,8 +32,8 @@ use std::collections::{BTreeSet, BinaryHeap};
 /// each step the minimum-degree vertex is removed and its neighbors are
 /// pairwise connected (the fill its elimination would create). Quotient
 /// graphs and supernode mass elimination are deliberately left out —
-/// MNA islands are small enough that the simple form is fast, and the
-/// simple form is auditable.
+/// the order is computed once per circuit, so its cost is paid once,
+/// and the simple form is auditable.
 ///
 /// # Panics
 ///

@@ -61,14 +61,6 @@ impl TripletMatrix {
 
     /// Compresses into CSC form, summing duplicate coordinates.
     pub fn to_csc(&self) -> CscMatrix {
-        let mut scratch = Vec::new();
-        self.to_csc_with(&mut scratch)
-    }
-
-    /// [`TripletMatrix::to_csc`] with a caller-owned scratch buffer, so
-    /// a caller that compresses repeatedly reuses one allocation instead
-    /// of growing a fresh per-column `Vec` on every call.
-    pub fn to_csc_with(&self, scratch: &mut Vec<(usize, f64)>) -> CscMatrix {
         let n = self.n;
         // Count entries per column (duplicates included for now).
         let mut count = vec![0usize; n];
@@ -96,7 +88,7 @@ impl TripletMatrix {
             row_idx,
             values,
         };
-        csc.sort_and_sum_duplicates(scratch);
+        csc.sort_and_sum_duplicates();
         csc
     }
 
@@ -161,7 +153,7 @@ impl TripletMatrix {
     /// # Panics
     ///
     /// Panics if `new_of` is not a permutation of `0..dim()`.
-    pub fn compile_permuted(&self, new_of: &[usize]) -> (CscMatrix, Vec<usize>) {
+    fn compile_permuted(&self, new_of: &[usize]) -> (CscMatrix, Vec<usize>) {
         let n = self.n;
         assert_eq!(new_of.len(), n, "permutation length must match dim");
         // Validate (also catches out-of-range) before trusting indices.
@@ -300,10 +292,9 @@ impl CscMatrix {
     }
 
     /// In-column sort and duplicate merge; used once after assembly.
-    /// The per-column working set lives in the caller-provided scratch
-    /// buffer so repeated compressions do not reallocate it.
-    fn sort_and_sum_duplicates(&mut self, scratch: &mut Vec<(usize, f64)>) {
+    fn sort_and_sum_duplicates(&mut self) {
         let n = self.n;
+        let mut scratch: Vec<(usize, f64)> = Vec::new();
         let mut new_col_ptr = vec![0usize; n + 1];
         let mut new_rows: Vec<usize> = Vec::with_capacity(self.row_idx.len());
         let mut new_vals: Vec<f64> = Vec::with_capacity(self.values.len());
@@ -467,19 +458,6 @@ mod tests {
     fn out_of_bounds_add_panics() {
         let mut t = TripletMatrix::new(2);
         t.add(2, 0, 1.0);
-    }
-
-    #[test]
-    fn to_csc_with_reuses_scratch_and_matches_to_csc() {
-        let t = sample();
-        let mut scratch = Vec::new();
-        let a = t.to_csc_with(&mut scratch);
-        let b = t.to_csc();
-        assert_eq!(a, b);
-        // A second compression through the same scratch is unaffected
-        // by the leftovers of the first.
-        let c = t.to_csc_with(&mut scratch);
-        assert_eq!(c, b);
     }
 
     #[test]

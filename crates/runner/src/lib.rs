@@ -19,11 +19,7 @@
 //!   (`eval(job, rung)`), runs that exhaust every rung are captured as
 //!   [`TrialFailure`]s, and the report gains a machine-readable
 //!   [`FailureTaxonomyEntry`] per exhausted trial — partial results
-//!   instead of an aborted run;
-//! * [`OpCache`] — a small LRU of solved DC operating points keyed by
-//!   quantized `(VDDI, VDDO, temp)`, the warm-start store for sweep
-//!   shards (kept shard-local so results stay independent of the
-//!   thread schedule).
+//!   instead of an aborted run.
 //!
 //! Determinism contract: a job's output may depend only on its index
 //! (and derived seed), never on which worker ran it or on what else
@@ -53,20 +49,15 @@
 //! assert_eq!(ensemble.successes(), serial.successes());
 //! ```
 
-mod cache;
 mod ensemble;
 mod queue;
 mod seed;
 
-pub use cache::{OpCache, OpKey};
 pub use ensemble::{
     run_ensemble, run_ensemble_resilient, Ensemble, Job, JobOutcome, ResilientEnsemble,
     RetryPolicy, TrialFailure, TrialSuccess,
 };
-pub use queue::{
-    run_indexed, run_indexed_mut, run_indexed_reported, FailureTaxonomyEntry, RunReport,
-    ShardReport,
-};
+pub use queue::{run_indexed, run_indexed_reported, FailureTaxonomyEntry, RunReport, ShardReport};
 pub use seed::{derive_seed, rng_for_run};
 
 /// How an experiment is spread across workers.

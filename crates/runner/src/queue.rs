@@ -10,7 +10,6 @@
 //! index, never *what* it computes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use vls_num::SolverStats;
@@ -245,42 +244,6 @@ pub fn run_indexed<T: Send>(
     run_indexed_reported(n, options, f).0
 }
 
-/// In-place parallel map: runs `f(k, &mut items[k])` for every index
-/// across the configured workers and returns the per-item results in
-/// index order.
-///
-/// Built on the same chunked atomic queue as [`run_indexed`]: each
-/// index is claimed by exactly one worker, so each item is mutated by
-/// exactly one thread. The per-item [`Mutex`] cells exist only to
-/// prove that disjointness to the borrow checker — they are never
-/// contended, and the result (item states and return values) is
-/// identical for every worker count when `f` is a pure function of
-/// `(k, items[k])`.
-///
-/// This is the fan-out primitive for solvers that own per-partition
-/// state (e.g. per-island LU factors) and need to refactorize all
-/// partitions concurrently without cloning them.
-pub fn run_indexed_mut<T: Send, R: Send>(
-    items: &mut [T],
-    options: &RunnerOptions,
-    f: impl Fn(usize, &mut T) -> R + Sync,
-) -> Vec<R> {
-    let n = items.len();
-    if options.effective_jobs().min(n.max(1)) == 1 {
-        // Serial fast path: no cells, no locking.
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(k, item)| f(k, item))
-            .collect();
-    }
-    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-    run_indexed(n, options, |k| {
-        let mut guard = cells[k].lock().expect("item cell poisoned");
-        f(k, &mut guard)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,37 +293,6 @@ mod tests {
         assert_eq!(out, (0..12).map(|k| 2 * k).collect::<Vec<_>>());
         assert_eq!(report.shards.len(), 1);
         assert_eq!(report.shards[0].jobs_done, 12);
-    }
-
-    #[test]
-    fn run_indexed_mut_mutates_every_item_for_every_worker_count() {
-        for jobs in [1, 2, 3, 8] {
-            let mut items: Vec<u64> = (0..57).map(|k| k as u64).collect();
-            let returned =
-                run_indexed_mut(&mut items, &RunnerOptions::with_jobs(jobs), |k, item| {
-                    *item = item.wrapping_mul(3) + 1;
-                    (k, *item)
-                });
-            let expect: Vec<u64> = (0..57u64).map(|k| k * 3 + 1).collect();
-            assert_eq!(items, expect, "jobs {jobs}");
-            for (k, (rk, rv)) in returned.iter().enumerate() {
-                assert_eq!((*rk, *rv), (k, expect[k]), "jobs {jobs}");
-            }
-        }
-    }
-
-    #[test]
-    fn run_indexed_mut_handles_empty_and_unclonable_items() {
-        let mut empty: Vec<String> = Vec::new();
-        let out = run_indexed_mut(&mut empty, &RunnerOptions::default(), |_, _| 0);
-        assert!(out.is_empty());
-        // Items only need Send — exercised with a non-Copy type that is
-        // mutated in place, never cloned.
-        let mut items = vec![String::from("a"), String::from("b")];
-        run_indexed_mut(&mut items, &RunnerOptions::with_jobs(4), |k, s| {
-            s.push_str(&k.to_string());
-        });
-        assert_eq!(items, vec!["a0", "b1"]);
     }
 
     #[test]

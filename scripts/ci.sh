@@ -189,23 +189,13 @@ echo "==> opt_convergence --smoke (release, budget + gap + 50x floors enforced)"
 cargo run -q --release -p vls-bench --bin opt_convergence -- \
     --smoke --out "$CHARLIB_TMP/opt_smoke.json"
 
-# The structured-solve leg: clippy scoped to the numerics crate (the
-# ordering and Schur machinery live there and must stay warning-free
-# on their own), the golden suite on one worker and at default
-# parallelism (island solves must be bit-identical at any worker
-# count), then the release-mode scaling smoke: flat-LU baseline vs
-# island hot path with the 1.5x floor at 400 unknowns, engine-leg
-# DC + transient through the Islands path.
+# The numerics leg: clippy scoped to the numerics crate (the dense and
+# sparse LU and the minimum-degree ordering live there and must stay
+# warning-free on their own). The sparse-order golden suite
+# (tests/solve_scale.rs) runs in the workspace test leg above; no
+# solve starts a thread, so it has no worker count to vary.
 echo "==> cargo clippy -p vls-num (deny warnings)"
 cargo clippy -p vls-num --all-targets -- -D warnings
-
-echo "==> cargo test (solve_scale golden, VLS_JOBS=1 and default jobs)"
-VLS_JOBS=1 cargo test -q --test solve_scale
-cargo test -q --test solve_scale
-
-echo "==> solve_scale --smoke (release, speedup floor + engine leg enforced)"
-cargo run -q --release -p vls-bench --bin solve_scale -- \
-    --smoke --out "$CHARLIB_TMP/solve_smoke.json"
 
 echo "==> cargo test --release"
 cargo test -q --release

@@ -20,7 +20,7 @@
 //! | [`waveform`] | `vls-waveform` | waveform math: delays, power, leakage |
 //! | [`cells`] | `vls-cells` | SS-TVS, combined VS, Khan SS-VS, CVS, primitives |
 //! | [`variation`] | `vls-variation` | Monte Carlo process sampling |
-//! | [`runner`] | `vls-runner` | sharded parallel execution, seeding, warm-start cache |
+//! | [`runner`] | `vls-runner` | sharded parallel execution, seeding, failure-capturing ensembles |
 //! | [`check`] | `vls-check` | static ERC: connectivity + voltage-domain rules |
 //! | [`flows`] | `vls-core` | the paper's experiments (Tables 1–4, Figures 5/8/9) |
 //! | [`charlib`] | `vls-charlib` | Liberty-style tables: interpolated surrogate + exact fallback |

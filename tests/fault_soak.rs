@@ -23,8 +23,7 @@ use sstvs::netlist::Circuit;
 use sstvs::num::rng::Xoshiro256pp;
 use sstvs::num::SolverStats;
 use sstvs::runner::{
-    derive_seed, run_ensemble, run_ensemble_resilient, run_indexed, OpCache, OpKey, RetryPolicy,
-    RunnerOptions,
+    derive_seed, run_ensemble, run_ensemble_resilient, RetryPolicy, RunnerOptions,
 };
 use sstvs::variation::{sample_perturbation, VariationSpec};
 
@@ -394,70 +393,11 @@ fn fuzzed_perturbations_never_panic_and_fail_typed() {
     assert!(e.successes().len() >= 90, "{} failed", e.failures().len());
 }
 
-/// Satellite 3 — the warm-start cache under quantization collisions
-/// and injected eviction pressure: counters stay exact, and a cache-
-/// driven computation is byte-identical at 1, 2 and 8 workers.
-#[test]
-fn op_cache_is_exact_under_collisions_and_pressure_at_any_worker_count() {
-    // Quantization collisions: float-noise keys collide (hit), real
-    // grid neighbours do not (miss) — counted exactly.
-    let mut c = OpCache::new(4);
-    let base = OpKey::quantize(0.8, 1.2, 300.0);
-    c.insert(base, vec![1.0]);
-    for k in 0..8 {
-        let noisy = OpKey::quantize(0.8 + 1e-13 * k as f64, 1.2, 300.0);
-        assert!(c.get(&noisy).is_some(), "noise key {k} missed");
-    }
-    assert_eq!((c.hits(), c.misses()), (8, 0));
-    assert!(c.get(&OpKey::quantize(0.805, 1.2, 300.0)).is_none());
-    assert_eq!((c.hits(), c.misses()), (8, 1));
-
-    // A deterministic per-index workload that routes through a private
-    // cache, with eviction pressure injected on seed-selected indices.
-    // The produced trace is a pure function of the index.
-    let trace = |index: usize| -> Vec<u64> {
-        let seed = derive_seed(0xCAC4E, index as u64);
-        let mut cache = OpCache::new(3);
-        cache.set_eviction_pressure(seed % 4 == 1);
-        let mut out = Vec::new();
-        for step in 0..12u64 {
-            let v = 0.7 + 0.005 * ((seed.wrapping_add(step) % 7) as f64);
-            let key = OpKey::quantize(v, 1.2, 300.0);
-            let value = match cache.get(&key) {
-                Some(x) => x[0],
-                None => {
-                    let fresh = v * (step + 1) as f64;
-                    cache.insert(key, vec![fresh]);
-                    fresh
-                }
-            };
-            out.push(value.to_bits());
-        }
-        out.push(cache.hits());
-        out.push(cache.misses());
-        out
-    };
-    let serial = run_indexed(40, &RunnerOptions::serial(), trace);
-    for jobs in [2, 8] {
-        let par = run_indexed(40, &RunnerOptions::with_jobs(jobs), trace);
-        assert_eq!(par, serial, "cache trace differs at {jobs} workers");
-    }
-    // Pressure actually bites: pressured indices miss more.
-    let pressured = (0..40).find(|&i| derive_seed(0xCAC4E, i as u64) % 4 == 1);
-    let free = (0..40).find(|&i| derive_seed(0xCAC4E, i as u64) % 4 != 1);
-    let (p, f) = (pressured.unwrap(), free.unwrap());
-    let misses = |t: &[u64]| t[t.len() - 1];
-    assert!(
-        misses(&serial[p]) >= misses(&serial[f]),
-        "pressure did not increase miss traffic"
-    );
-}
-
-/// PR-10 leg — the pivot-health degrade hook (PR-5) stays live on the
-/// structured solver paths. A `pivot` charge against an `Ordered` or
-/// `Islands` solve must fire (injected fault counted, a re-pivoting
-/// fallback factorization billed) and must recover: the faulted
-/// trajectory lands within Newton's own tolerance of the clean one.
+/// The pivot-health degrade hook stays live on the minimum-degree
+/// ordered path. A `pivot` charge against an `Ordered` solve must fire
+/// (injected fault counted, a re-pivoting fallback factorization
+/// billed) and must recover: the faulted trajectory lands within
+/// Newton's own tolerance of the clean one.
 #[test]
 fn pivot_fault_fires_the_degrade_hook_on_structured_paths() {
     let flat = generate_chip(&ChipSpec {
@@ -468,54 +408,45 @@ fn pivot_fault_fires_the_degrade_hook_on_structured_paths() {
     .flatten();
     let probe = flat.find_node("u0_y").expect("unit sink net");
     let plan = FaultPlan::parse("pivot").unwrap();
-    for structure in [SolverStructure::Ordered, SolverStructure::Islands] {
-        let clean_sim = SimOptions {
-            sparse_threshold: 0,
-            structure,
-            ..SimOptions::default()
-        };
-        let faulted_sim = SimOptions {
-            fault: plan.arm(0),
-            ..clean_sim.clone()
-        };
-        let clean = run_transient(&flat, TSTOP, &clean_sim).expect("clean structured run");
-        let faulted = run_transient(&flat, TSTOP, &faulted_sim).expect("faulted structured run");
+    let clean_sim = SimOptions {
+        sparse_threshold: 0,
+        structure: SolverStructure::Ordered,
+        ..SimOptions::default()
+    };
+    let faulted_sim = SimOptions {
+        fault: plan.arm(0),
+        ..clean_sim.clone()
+    };
+    let clean = run_transient(&flat, TSTOP, &clean_sim).expect("clean ordered run");
+    let faulted = run_transient(&flat, TSTOP, &faulted_sim).expect("faulted ordered run");
 
-        let s = faulted.solver_stats();
-        assert!(
-            s.injected_faults > 0,
-            "{structure:?}: pivot charge never fired: {}",
-            s.render()
-        );
-        assert!(
-            s.refactor_fallbacks > 0,
-            "{structure:?}: degrade hook fired no fallback: {}",
-            s.render()
-        );
-        assert_eq!(
-            clean.solver_stats().injected_faults,
-            0,
-            "{structure:?}: clean run marked faulty"
-        );
+    let s = faulted.solver_stats();
+    assert!(
+        s.injected_faults > 0,
+        "pivot charge never fired: {}",
+        s.render()
+    );
+    assert!(
+        s.refactor_fallbacks > 0,
+        "degrade hook fired no fallback: {}",
+        s.render()
+    );
+    assert_eq!(
+        clean.solver_stats().injected_faults,
+        0,
+        "clean run marked faulty"
+    );
 
-        // Recovery: the fallback is a clean full factorization of the
-        // same matrix, so the trajectory stays inside Newton's band.
-        assert_eq!(
-            clean.len(),
-            faulted.len(),
-            "{structure:?}: step sequences diverged"
-        );
-        let worst = clean
-            .node_series(probe)
-            .iter()
-            .zip(&faulted.node_series(probe))
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(
-            worst <= 1e-6,
-            "{structure:?}: faulted run strayed {worst:.3e} V"
-        );
-    }
+    // Recovery: the fallback is a clean full factorization of the
+    // same matrix, so the trajectory stays inside Newton's band.
+    assert_eq!(clean.len(), faulted.len(), "step sequences diverged");
+    let worst = clean
+        .node_series(probe)
+        .iter()
+        .zip(&faulted.node_series(probe))
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0f64, f64::max);
+    assert!(worst <= 1e-6, "faulted run strayed {worst:.3e} V");
 }
 
 /// With no plan armed, the fault layer is invisible: options compare

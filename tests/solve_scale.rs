@@ -1,24 +1,24 @@
-//! Golden suite for the chip-scale structured sparse solver.
+//! Golden suite for the chip-scale sparse solver orders.
 //!
-//! PR-10 adds two solver structures above the natural-order sparse
-//! path: minimum-degree fill-reducing ordering (`Ordered`) and the
-//! island-partitioned Schur solver (`Islands`). This file pins them:
+//! Above the dense threshold the kernel factorizes in natural MNA order
+//! (`Natural`, the default) or under a minimum-degree fill-reducing
+//! order (`Ordered`). This file pins them:
 //!
 //! * **property sweep** — over seeded random hub-and-chain patterns,
 //!   the ordered factorization represents the same operator (solving
 //!   against unit vectors reproduces the identity to 1e-10, i.e.
 //!   P·A·Pᵀ = L·U reconstructs A) and never fills in more than the
 //!   natural order;
-//! * **worker-count determinism** — the island solve of a generated
-//!   100-instance floorplan is bit-identical at 1, 2 and 8 workers,
-//!   and matches the flat natural-order solve to 1e-9;
-//! * **degenerate tearing** — a floorplan whose units are all shorted
-//!   together degrades to a single island and still solves (no error);
+//! * **ordered against natural** — the ordered solve of a generated
+//!   100-instance floorplan matches the natural-order solve to 1e-9;
+//! * **welded floorplan** — a floorplan whose units are all shorted
+//!   together into one connected interior still solves on `Ordered`
+//!   and matches `Natural` to 1e-9;
 //! * **ordering-off identity** — `SolverStructure::Natural` is the
-//!   default and takes literally the pre-PR-10 code path, asserted by
-//!   a bitwise comparison against explicitly-defaulted options.
+//!   default and takes literally the pre-ordering code path, asserted
+//!   by a bitwise comparison against explicitly-defaulted options.
 
-use sstvs::engine::{island_report, run_transient, solve_dc, SimOptions, SolverStructure};
+use sstvs::engine::{solve_dc, SimOptions, SolverStructure};
 use sstvs::netlist::chipgen::{generate_chip, short_units, unknowns_of, ChipSpec};
 use sstvs::netlist::Circuit;
 use sstvs::num::rng::{Rng, Xoshiro256pp};
@@ -26,10 +26,9 @@ use sstvs::num::{invert_permutation, DenseMatrix, SparseLu, TripletMatrix};
 
 /// Options tightened so two differently-ordered Newton trajectories
 /// land within 1e-9 V of each other, with the sparse path forced on.
-fn tight(structure: SolverStructure, jobs: Option<usize>) -> SimOptions {
+fn tight(structure: SolverStructure) -> SimOptions {
     SimOptions {
         structure,
-        solver_jobs: jobs,
         sparse_threshold: 0,
         reltol: 1e-6,
         vabstol: 1e-9,
@@ -137,8 +136,8 @@ fn ordered_factorization_reconstructs_and_reduces_fill_over_a_seed_sweep() {
     }
 }
 
-/// The 100-instance floorplan of the issue: flattened, it is well past
-/// the dense threshold and tears into many per-unit islands.
+/// A 100-instance floorplan: flattened, it is well past the dense
+/// threshold.
 fn chip_100() -> Circuit {
     generate_chip(&ChipSpec {
         instances: 100,
@@ -149,131 +148,61 @@ fn chip_100() -> Circuit {
 }
 
 #[test]
-fn island_solve_is_bit_identical_across_worker_counts() {
-    let flat = chip_100();
-    let report = island_report(&flat, &tight(SolverStructure::Islands, None));
-    assert_eq!(report.unknowns, unknowns_of(&flat));
-    assert!(
-        report.islands > 10,
-        "expected one island per signal unit, got {}",
-        report.islands
-    );
-    assert!(report.boundary > 0, "no boundary block torn");
-
-    let baseline = solve_dc(&flat, &tight(SolverStructure::Islands, Some(1)))
-        .expect("island solve at 1 worker")
-        .unknowns()
-        .to_vec();
-    for jobs in [2usize, 8] {
-        let sol = solve_dc(&flat, &tight(SolverStructure::Islands, Some(jobs)))
-            .expect("island solve")
-            .unknowns()
-            .to_vec();
-        for (i, (a, b)) in baseline.iter().zip(&sol).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "unknown {i} differs between 1 and {jobs} workers: {a} vs {b}"
-            );
-        }
-    }
-}
-
-#[test]
 fn structured_solves_match_the_flat_natural_solve() {
     let flat = chip_100();
-    let natural = solve_dc(&flat, &tight(SolverStructure::Natural, None))
+    let natural = solve_dc(&flat, &tight(SolverStructure::Natural))
         .expect("natural solve")
         .unknowns()
         .to_vec();
-    for structure in [SolverStructure::Ordered, SolverStructure::Islands] {
-        let sol = solve_dc(&flat, &tight(structure, Some(2)))
-            .expect("structured solve")
-            .unknowns()
-            .to_vec();
-        let worst = natural
-            .iter()
-            .zip(&sol)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(
-            worst <= 1e-9,
-            "{structure:?} strayed {worst:.3e} from the flat natural solve"
-        );
-    }
+    assert_eq!(natural.len(), unknowns_of(&flat), "chipgen's unknown count");
+    let ordered = solve_dc(&flat, &tight(SolverStructure::Ordered))
+        .expect("ordered solve")
+        .unknowns()
+        .to_vec();
+    let worst = max_difference(&natural, &ordered);
+    assert!(
+        worst <= 1e-9,
+        "Ordered strayed {worst:.3e} from the flat natural solve"
+    );
+}
+
+/// The largest absolute difference between two solutions.
+fn max_difference(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0f64, f64::max)
 }
 
 #[test]
-fn rail_shorted_floorplan_degrades_to_one_island_and_still_solves() {
+fn welded_floorplan_solves_ordered_and_matches_natural() {
     let spec = ChipSpec {
         instances: 20,
         islands: 3,
         seed: 0x5510_c0de,
     };
     let mut flat = generate_chip(&spec).flatten();
-    let torn = island_report(&flat, &tight(SolverStructure::Islands, None));
-    assert!(torn.islands > 1, "clean chip should tear into many islands");
-
     // Weld every unit's signal path to its neighbour's: one connected
-    // interior remains. The partition must degrade, not error.
+    // interior remains.
     short_units(&mut flat, spec.instances, 10.0);
-    let welded = island_report(&flat, &tight(SolverStructure::Islands, None));
-    assert_eq!(
-        welded.islands, 1,
-        "shorted floorplan should collapse to a single island"
-    );
 
-    let natural = solve_dc(&flat, &tight(SolverStructure::Natural, None))
+    let natural = solve_dc(&flat, &tight(SolverStructure::Natural))
         .expect("natural solve of shorted chip")
         .unknowns()
         .to_vec();
-    let island = solve_dc(&flat, &tight(SolverStructure::Islands, Some(4)))
-        .expect("island solve of shorted chip must degrade, not error")
+    let ordered = solve_dc(&flat, &tight(SolverStructure::Ordered))
+        .expect("ordered solve of shorted chip")
         .unknowns()
         .to_vec();
-    let worst = natural
-        .iter()
-        .zip(&island)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    assert!(worst <= 1e-9, "degraded solve strayed {worst:.3e}");
-}
-
-#[test]
-fn island_transient_is_worker_count_deterministic() {
-    // A smaller floorplan keeps the transient cheap; the property is
-    // worker-count independence through the full adaptive stepper.
-    let flat = generate_chip(&ChipSpec {
-        instances: 8,
-        islands: 3,
-        seed: 0x5510_c0de,
-    })
-    .flatten();
-    let probe = flat.find_node("u0_y").expect("unit sink net");
-    let serial = run_transient(&flat, 1e-9, &tight(SolverStructure::Islands, Some(1)))
-        .expect("transient at 1 worker");
-    let fanned = run_transient(&flat, 1e-9, &tight(SolverStructure::Islands, Some(4)))
-        .expect("transient at 4 workers");
-    assert_eq!(serial.len(), fanned.len(), "step sequences differ");
-    for (k, (a, b)) in serial
-        .node_series(probe)
-        .iter()
-        .zip(&fanned.node_series(probe))
-        .enumerate()
-    {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "transient sample {k} differs across worker counts"
-        );
-    }
+    let worst = max_difference(&natural, &ordered);
+    assert!(worst <= 1e-9, "welded ordered solve strayed {worst:.3e}");
 }
 
 #[test]
 fn natural_default_is_the_ordering_off_path_bit_for_bit() {
-    // The acceptance gate for "ordering off is bit-identical to PR-9":
-    // `Natural` is the default and compiles the identical pattern the
-    // pre-structuring kernel compiled, so defaulted options and an
+    // Ordering off is bit-identical to the unordered solver: `Natural`
+    // is the default and compiles the identical pattern the
+    // pre-ordering kernel compiled, so defaulted options and an
     // explicit `Natural` request must agree bitwise.
     assert_eq!(SimOptions::default().structure, SolverStructure::Natural);
 
