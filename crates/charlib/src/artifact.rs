@@ -40,8 +40,19 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// coordinates — change any of them and the hash moves, forcing a
 /// rebuild.
 pub fn content_hash(kind: &ShifterKind, base: &CharacterizeOptions, grid: &GridSpec) -> u64 {
+    hash_at_revision(kind, base, grid, PROTOCOL_REVISION)
+}
+
+/// The content hash protocol revision `revision` gave (`kind`, `base`,
+/// `grid`).
+fn hash_at_revision(
+    kind: &ShifterKind,
+    base: &CharacterizeOptions,
+    grid: &GridSpec,
+    revision: u32,
+) -> u64 {
     let keyed = format!(
-        "{};protocol_revision={PROTOCOL_REVISION}",
+        "{};protocol_revision={revision}",
         descriptor(kind, base, grid)
     );
     fnv1a64(keyed.as_bytes())
@@ -335,7 +346,8 @@ mod tests {
     #[test]
     fn a_library_hashed_before_the_protocol_revision_loads_as_stale() {
         // A library built by an earlier protocol carries the hash of the
-        // same (kind, options, grid) without the revision.
+        // same (kind, options, grid) without the revision, or with an
+        // earlier one.
         let kind = ShifterKind::sstvs();
         let base = CharacterizeOptions::default();
         let grid = GridSpec::smoke();
@@ -348,9 +360,9 @@ mod tests {
             leakage_low: vec![1e-9; 4],
             functional: vec![true; 4],
         };
-        let old = fnv1a64(descriptor(&kind, &base, &grid).as_bytes());
+        let unrevised = fnv1a64(descriptor(&kind, &base, &grid).as_bytes());
+        let revision_2 = hash_at_revision(&kind, &base, &grid, 2);
         let current = content_hash(&kind, &base, &grid);
-        assert_ne!(old, current);
         let artifact = |hash| {
             CharLib::from_parts(
                 kind.clone(),
@@ -361,11 +373,14 @@ mod tests {
             )
             .to_json()
         };
-        let err = CharLib::load_json(&artifact(old), &kind, &base).unwrap_err();
-        assert!(
-            matches!(err, CharLibError::Stale { expected, found } if expected == current && found == old),
-            "expected a stale report, got {err}"
-        );
+        for old in [unrevised, revision_2] {
+            assert_ne!(old, current);
+            let err = CharLib::load_json(&artifact(old), &kind, &base).unwrap_err();
+            assert!(
+                matches!(err, CharLibError::Stale { expected, found } if expected == current && found == old),
+                "expected a stale report, got {err}"
+            );
+        }
         assert!(CharLib::load_json(&artifact(current), &kind, &base).is_ok());
     }
 

@@ -49,9 +49,11 @@
 //! A characterization library keys its artifacts on the protocol's
 //! options and on [`PROTOCOL_REVISION`], which stands for the protocol's
 //! code. Bump it in any change that moves a measured number at unchanged
-//! options (a new hold start, window or stimulus, say), so libraries
-//! built before the change are rebuilt instead of served. A change that
-//! moves only counters or run time leaves it alone.
+//! options (a new hold start, window or stimulus, say, or a new Newton
+//! start in the engine, which moves each converged point within the
+//! Newton tolerance), so libraries built before the change are rebuilt
+//! instead of served. A change that moves only counters or run time
+//! leaves it alone.
 
 use vls_cells::{Harness, ShifterKind, VoltagePair};
 use vls_engine::{run_transient, run_transient_from, SimOptions, SolverStats, TransientResult};
@@ -62,10 +64,12 @@ use vls_waveform::{average, delay_between, is_settled, Edge, Waveform};
 use crate::CoreError;
 
 /// The revision of the measurement protocol's code (see the module
-/// docs). Revision 2 continues both leakage holds from the stimulus
-/// run, which moved leakages by up to 0.7 %; revision 1 is every
-/// protocol before it.
-pub const PROTOCOL_REVISION: u32 = 2;
+/// docs). Revision 3 starts each transient Newton solve from a cubic
+/// extrapolation and judges its first iteration on node voltages,
+/// which moved measured numbers by up to 1.2e-6 relative. Revision 2
+/// continues both leakage holds from the stimulus run, which moved
+/// leakages by up to 0.7 %; revision 1 is every protocol before it.
+pub const PROTOCOL_REVISION: u32 = 3;
 
 /// Options for one characterization run.
 #[derive(Debug, Clone, PartialEq)]

@@ -50,8 +50,12 @@ pub struct SimOptions {
     pub min_step: f64,
     /// First transient step after DC or a breakpoint, s.
     pub initial_step: f64,
-    /// Transient local-truncation-error tolerance, V. The step size is
-    /// adapted to hold the predictor–corrector disagreement below this.
+    /// Transient local-truncation-error tolerance, V. Each step's
+    /// predictor–corrector gap at every node is measured against this
+    /// plus `reltol` of the node's voltage. The controller sizes the
+    /// next step to bring the worst ratio near 1 and rejects a step only
+    /// when that ratio exceeds 16, so this is a target, not a bound:
+    /// an accepted step may exceed it up to 16-fold.
     pub lte_tol: f64,
     /// Unknown count above which the sparse solver is used.
     pub sparse_threshold: usize,

@@ -4,13 +4,30 @@
 //! Reactive elements (explicit capacitors and the Meyer capacitances of
 //! every MOSFET) are replaced at each time step by companion models
 //! `i = geq·v − ieq`; the resulting resistive network is solved by the
-//! same damped Newton iteration as the DC analysis, started from the
-//! step predictor ([`predict`]: linear extrapolation through the last
-//! two accepted points, or the last point itself after DC, UIC or a
-//! breakpoint). The step size adapts to hold the disagreement between
-//! that predictor and the corrector below `SimOptions::lte_tol`; steps
-//! are forced to land on every source breakpoint so input edges are
-//! never straddled.
+//! same damped Newton iteration as the DC analysis.
+//!
+//! Two extrapolations look ahead from the accepted points kept since the
+//! last restart (DC, UIC, a resume or a breakpoint landing):
+//!
+//! * the **step predictor** ([`predict`]): the linear extrapolation
+//!   through the last two points, or the last point itself right after
+//!   a restart. The LTE test measures the corrector against it, and the
+//!   controller sizes the next step from that gap: it steers the gap
+//!   toward `SimOptions::lte_tol` and rejects a step only above 16× it;
+//! * the **Newton start** ([`newton_start`]): the Lagrange extrapolation
+//!   through the last three or four points, quadratic or cubic; with
+//!   fewer points it is the predictor. It lands closer to the corrector
+//!   than the predictor does, and the Newton kernel judges its first
+//!   iteration on node voltages alone, so most steps converge in one
+//!   iteration: 1.29–1.43 iterations per accepted step on the six cells'
+//!   first 4 ns, against 1.77–2.05 from the predictor with branch
+//!   currents tested from the first iteration.
+//!
+//! The start changes where Newton begins, not the step control, which
+//! still reads the predictor: each converged point moves only within the
+//! Newton tolerance, and on every circuit measured the accepted and
+//! rejected step counts are unchanged. Steps are forced to land on every
+//! source breakpoint so input edges are never straddled.
 //!
 //! Integration uses a θ-damped trapezoid (θ = 0.55): plain trapezoidal
 //! integration is only marginally stable and lets capacitor-current
@@ -20,6 +37,8 @@
 //! accuracy; on plateaus (steps cruising at the maximum size) the
 //! engine additionally drops to backward Euler, which kills any
 //! residual oscillation outright where accuracy is free.
+
+use std::collections::VecDeque;
 
 use vls_fault::FaultSession;
 use vls_netlist::{Circuit, Element, NodeId};
@@ -120,12 +139,17 @@ const THETA: f64 = 0.55;
 /// on it, s.
 const BREAKPOINT_TOL: f64 = 1e-21;
 
+/// The most accepted points the Newton start extrapolates through: four
+/// make it cubic.
+const START_POINTS: usize = 4;
+
 /// The step predictor, written into `out`: the linear extrapolation
 /// over a step of `h` through the last two accepted points —
 /// `history` is the point before `x` with the step that led from it
 /// to `x` — or `x` itself when there is no usable history (after DC,
-/// UIC or a breakpoint). The stepper starts Newton from this vector
-/// and measures its LTE against it.
+/// UIC or a breakpoint). The stepper measures its LTE against this
+/// vector, and starts Newton from it while fewer than three points are
+/// known since the last restart.
 fn predict(x: &[f64], history: Option<(&[f64], f64)>, h: f64, out: &mut [f64]) {
     match history {
         Some((x_prev, h_prev)) if h_prev > 0.0 => {
@@ -135,6 +159,40 @@ fn predict(x: &[f64], history: Option<(&[f64], f64)>, h: f64, out: &mut [f64]) {
             }
         }
         _ => out.copy_from_slice(x),
+    }
+}
+
+/// The Newton start, written into `out`: the Lagrange extrapolation
+/// over a step of `h` through `x` and the accepted points in `past`,
+/// quadratic through three points and cubic through [`START_POINTS`].
+/// `past` holds the points before `x` newest first, each with the step
+/// that led from it to the next newer point. The weights come from
+/// offsets to the new time summed from those steps, never from
+/// differences of absolute times, which at tens of nanoseconds keep
+/// only about ten digits of a 0.1 ps step.
+fn newton_start(x: &[f64], past: &VecDeque<(Vec<f64>, f64)>, h: f64, out: &mut [f64]) {
+    let n = past.len() + 1;
+    debug_assert!((3..=START_POINTS).contains(&n));
+    // d[j] is the distance from point j (x is point 0) to the new time.
+    let mut d = [h; START_POINTS];
+    for (j, (_, step)) in past.iter().enumerate() {
+        d[j + 1] = d[j] + step;
+    }
+    let d = &d[..n];
+    let mut w = [1.0; START_POINTS];
+    for (j, wj) in w[..n].iter_mut().enumerate() {
+        for (m, &dm) in d.iter().enumerate() {
+            if m != j {
+                *wj *= dm / (dm - d[j]);
+            }
+        }
+    }
+    let points = std::iter::once(x).chain(past.iter().map(|(p, _)| p.as_slice()));
+    out.fill(0.0);
+    for (p, &wj) in points.zip(&w) {
+        for (o, &pi) in out.iter_mut().zip(p) {
+            *o += wj * pi;
+        }
     }
 }
 
@@ -388,9 +446,11 @@ fn transient_from_state(
 
     let mut times = vec![t0];
     let mut samples = vec![x.clone()];
-    // History for the predictor.
-    let mut x_prevprev: Option<(Vec<f64>, f64)> = None; // (solution, h of last step)
+    // The accepted points before `x` since the last restart, newest
+    // first, each with the step that led from it to the next newer one.
+    let mut past: VecDeque<(Vec<f64>, f64)> = VecDeque::with_capacity(START_POINTS);
     let mut pred = vec![0.0; x.len()];
+    let mut start = vec![0.0; x.len()];
     let mut rejected_steps: u64 = 0;
 
     let mut companions: Vec<CompanionCap> = Vec::with_capacity(caps.len());
@@ -458,11 +518,19 @@ fn transient_from_state(
                 gmin: options.gmin,
                 reactive: Some(&companions),
             };
-            // Newton starts from the predictor, which is also what the
-            // LTE test below measures the converged point against.
-            let history = x_prevprev.as_ref().map(|(xp, hp)| (xp.as_slice(), *hp));
+            // The LTE test below measures the converged point against
+            // the linear predictor. Newton starts from the extrapolation
+            // through every point kept since the last restart, which
+            // through two points is that predictor.
+            let history = past.front().map(|(xp, hp)| (xp.as_slice(), *hp));
             predict(&x, history, h_now, &mut pred);
-            match kernel.solve(&pred, &ctx, options, &mut faults) {
+            let x0 = if past.len() >= 2 {
+                newton_start(&x, &past, h_now, &mut start);
+                &start
+            } else {
+                &pred
+            };
+            match kernel.solve(x0, &ctx, options, &mut faults) {
                 Ok((x_new, _iters)) => {
                     if faults.fire_lte() {
                         // Injected LTE rejection: discard the converged
@@ -511,7 +579,8 @@ fn transient_from_state(
         }
 
         t += h_now;
-        x_prevprev = Some((std::mem::replace(&mut x, x_new), h_now));
+        past.truncate(START_POINTS - 2);
+        past.push_front((std::mem::replace(&mut x, x_new), h_now));
         times.push(t);
         samples.push(x.clone());
 
@@ -522,7 +591,7 @@ fn transient_from_state(
             // Restart conservatively after an input corner.
             h = options.initial_step.min(max_step);
             use_trap = false;
-            x_prevprev = None;
+            past.clear();
         } else {
             use_trap = true;
         }

@@ -162,13 +162,6 @@ impl FaultSpec {
         self
     }
 
-    /// Same spec restricted to seeds with `seed % every == offset`.
-    pub fn for_seeds(mut self, every: u64, offset: u64) -> Self {
-        self.every = every;
-        self.offset = offset;
-        self
-    }
-
     /// Whether this spec arms for `seed`.
     pub fn matches(&self, seed: u64) -> bool {
         self.every <= 1 || seed % self.every == self.offset
@@ -408,7 +401,11 @@ mod tests {
     #[test]
     fn arming_resolves_the_seed_predicate() {
         let plan = FaultPlan::none()
-            .with(FaultSpec::new(FaultSite::PivotHealth).for_seeds(4, 1))
+            .with(FaultSpec {
+                every: 4,
+                offset: 1,
+                ..FaultSpec::new(FaultSite::PivotHealth)
+            })
             .with(FaultSpec::new(FaultSite::LteStorm));
         // Seed 5 ≡ 1 (mod 4): both specs arm, unconditionally.
         let armed = plan.arm(5);

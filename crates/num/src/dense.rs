@@ -292,24 +292,6 @@ impl DenseLu {
         }
         det
     }
-
-    /// A cheap conditioning indicator: `min|U_ii| / max|U_ii|`. Values
-    /// near zero flag a nearly singular Jacobian (the DC solver uses
-    /// this to decide when to fall back to gmin stepping).
-    pub fn pivot_ratio(&self) -> f64 {
-        let mut min = f64::INFINITY;
-        let mut max: f64 = 0.0;
-        for i in 0..self.n {
-            let d = self.lu[i * self.n + i].abs();
-            min = min.min(d);
-            max = max.max(d);
-        }
-        if max == 0.0 {
-            0.0
-        } else {
-            min / max
-        }
-    }
 }
 
 #[cfg(test)]
@@ -398,16 +380,6 @@ mod tests {
                 (r[i] - b[i]).abs()
             );
         }
-    }
-
-    #[test]
-    fn pivot_ratio_flags_near_singular() {
-        let good = DenseMatrix::identity(3).factorize().unwrap();
-        assert!((good.pivot_ratio() - 1.0).abs() < 1e-15);
-        let bad = DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1e-14]])
-            .factorize()
-            .unwrap();
-        assert!(bad.pivot_ratio() < 1e-12);
     }
 
     #[test]

@@ -77,17 +77,6 @@ impl SolverStats {
         }
     }
 
-    /// Fraction of sparse factorizations served by numeric-only
-    /// refactorization, in `[0, 1]`. Zero when nothing was factorized.
-    pub fn refactor_rate(&self) -> f64 {
-        let total = self.full_factorizations + self.refactorizations;
-        if total == 0 {
-            0.0
-        } else {
-            self.refactorizations as f64 / total as f64
-        }
-    }
-
     /// One human-readable summary line for the bench drivers.
     pub fn render(&self) -> String {
         let mut line = format!(
@@ -147,19 +136,15 @@ mod tests {
     }
 
     #[test]
-    fn rates_are_well_defined_at_zero() {
+    fn bypass_rate_is_well_defined_at_zero() {
         let s = SolverStats::default();
         assert_eq!(s.bypass_rate(), 0.0);
-        assert_eq!(s.refactor_rate(), 0.0);
         let t = SolverStats {
             device_evals: 1,
             device_bypasses: 3,
-            full_factorizations: 1,
-            refactorizations: 1,
             ..SolverStats::default()
         };
         assert!((t.bypass_rate() - 0.75).abs() < 1e-15);
-        assert!((t.refactor_rate() - 0.5).abs() < 1e-15);
         assert!(t.render().contains("75.0%"));
     }
 }

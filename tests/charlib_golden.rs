@@ -29,108 +29,108 @@ const GOLDEN: [(f64, f64, [f64; 6]); 9] = [
         0.8,
         0.8,
         [
-            2.02424751618818592e-10,
-            7.58300861534438092e-11,
-            2.40133862588543490e-6,
-            1.94487805702706538e-6,
-            3.79595717468924284e-10,
-            3.26753201531757518e-10,
+            2.02425350060211986e-10,
+            7.58300937900347813e-11,
+            2.40133883618972907e-6,
+            1.94487860178855463e-6,
+            3.79595717558163114e-10,
+            3.26758983457015588e-10,
         ],
     ),
     (
         0.8,
         1.0,
         [
-            1.65311464921017417e-10,
-            9.04004588187070894e-11,
-            3.47114316885337383e-6,
-            2.46922718202733898e-6,
-            6.19106066813175966e-10,
-            1.61279318536476286e-9,
+            1.65311611873805683e-10,
+            9.04004673730781122e-11,
+            3.47114296333551292e-6,
+            2.46922794617242155e-6,
+            6.19106066823988870e-10,
+            1.61279363904988034e-9,
         ],
     ),
     (
         0.8,
         1.2,
         [
-            1.83311986440520471e-10,
-            1.23415405706739473e-10,
-            5.31282739214215206e-6,
-            4.25593057986421867e-6,
-            1.01175149379105660e-9,
-            2.66647319468603291e-9,
+            1.83311926810211621e-10,
+            1.23415405452053871e-10,
+            5.31282614811197327e-6,
+            4.25593052877211455e-6,
+            1.01175149381543568e-9,
+            2.66647403847661290e-9,
         ],
     ),
     (
         1.0,
         0.8,
         [
-            1.51939067156253544e-10,
-            4.28984320209653593e-11,
-            2.79862564523053690e-6,
-            2.68118655580155436e-6,
-            3.79598306011157792e-10,
-            4.33680910464382211e-10,
+            1.51939480232083258e-10,
+            4.28984366626066486e-11,
+            2.79862576848753021e-6,
+            2.68118740431963413e-6,
+            3.79598306050130665e-10,
+            4.33684929805244239e-10,
         ],
     ),
     (
         1.0,
         1.0,
         [
-            1.12185058463435621e-10,
-            4.94678160556414066e-11,
-            3.79402103374410444e-6,
-            3.13555194206623718e-6,
-            6.19109745484581580e-10,
-            4.30540408414676314e-10,
+            1.12185385678185759e-10,
+            4.94678377078185504e-11,
+            3.79402133166750219e-6,
+            3.13555516269416243e-6,
+            6.19109745657969389e-10,
+            4.30551034777166731e-10,
         ],
     ),
     (
         1.0,
         1.2,
         [
-            9.55268589321992184e-11,
-            5.86040074105723664e-11,
-            5.11739806240696913e-6,
-            3.92068011399409795e-6,
-            1.01175633867022224e-9,
-            2.48125677676452760e-9,
+            9.55270292563900489e-11,
+            5.86040115343191829e-11,
+            5.11739786438602785e-6,
+            3.92068028466233451e-6,
+            1.01175633892133814e-9,
+            2.48125768942802158e-9,
         ],
     ),
     (
         1.2,
         0.8,
         [
-            1.15193657417203873e-10,
-            2.83618499836638691e-11,
-            3.30709102685639046e-6,
-            3.61195181690459732e-6,
-            3.79606314713006811e-10,
-            9.67410342744613538e-10,
+            1.15193794931927525e-10,
+            2.83618599730642145e-11,
+            3.30709120686633824e-6,
+            3.61195402786094768e-6,
+            3.79606314711109466e-10,
+            9.67409699614287727e-10,
         ],
     ),
     (
         1.2,
         1.0,
         [
-            9.44466876343008357e-11,
-            3.27736734151695243e-11,
-            4.30962074368284214e-6,
-            4.08234076522384903e-6,
-            6.19117535835386770e-10,
-            4.69017736763879154e-10,
+            9.44469633350779986e-11,
+            3.27736967981526167e-11,
+            4.30962107443666179e-6,
+            4.08234667836064460e-6,
+            6.19117535832024694e-10,
+            4.69028348957110819e-10,
         ],
     ),
     (
         1.2,
         1.2,
         [
-            7.79419943800626003e-11,
-            3.71129766205524988e-11,
-            5.58377732539363953e-6,
-            4.70006309528035241e-6,
-            1.01176848256992812e-9,
-            5.08012494165586247e-10,
+            7.79422578573470060e-11,
+            3.71130052942158763e-11,
+            5.58377787495932644e-6,
+            4.70006715335666087e-6,
+            1.01176848241228962e-9,
+            5.08023809084935256e-10,
         ],
     ),
 ];

@@ -37,27 +37,27 @@ fn golden_nominal_characterization_at_90c() {
     .expect("nominal SS-TVS characterizes at 90 °C");
 
     assert!(m.functional);
-    assert_pinned("delay_rise", m.delay_rise.value(), 1.84850513450335600e-10);
-    assert_pinned("delay_fall", m.delay_fall.value(), 1.44097088866454034e-10);
-    assert_pinned("power_rise", m.power_rise.value(), 5.37233975866659187e-6);
-    assert_pinned("power_fall", m.power_fall.value(), 5.16942854765441036e-6);
+    assert_pinned("delay_rise", m.delay_rise.value(), 1.84850472609212680e-10);
+    assert_pinned("delay_fall", m.delay_fall.value(), 1.44097088256362011e-10);
+    assert_pinned("power_rise", m.power_rise.value(), 5.37233889835563152e-6);
+    assert_pinned("power_fall", m.power_fall.value(), 5.16942849402176306e-6);
     assert_pinned(
         "leakage_high",
         m.leakage_high.value(),
-        1.71205561883634009e-8,
+        1.71205561882774303e-8,
     );
-    assert_pinned("leakage_low", m.leakage_low.value(), 3.26772137992184275e-8);
+    assert_pinned("leakage_low", m.leakage_low.value(), 3.26772137991982774e-8);
 
     // The same work, counted exactly.
     assert_eq!(
         stats,
         SolverStats {
-            newton_iters: 1956,
-            linear_solves: 1956,
-            full_factorizations: 1956,
+            newton_iters: 1415,
+            linear_solves: 1415,
+            full_factorizations: 1415,
             refactorizations: 0,
             refactor_fallbacks: 0,
-            device_evals: 33122,
+            device_evals: 23925,
             device_bypasses: 0,
             cap_evals: 17867,
             cap_bypasses: 0,
@@ -86,38 +86,38 @@ fn golden_8_run_mc_at_90c() {
         (
             "delay_rise",
             s.delay_rise,
-            1.89203976164378053e-10,
-            1.08926208210735794e-11,
+            1.89203935969750135e-10,
+            1.08926188550724333e-11,
         ),
         (
             "delay_fall",
             s.delay_fall,
-            1.44945160324205116e-10,
-            8.05387098177664814e-12,
+            1.44945159624490555e-10,
+            8.05387090702160099e-12,
         ),
         (
             "power_rise",
             s.power_rise,
-            5.38808553583686926e-6,
-            8.85717056043266371e-8,
+            5.38808472188664961e-6,
+            8.85716871207534770e-8,
         ),
         (
             "power_fall",
             s.power_fall,
-            5.14185596006207160e-6,
-            8.14520754407371310e-8,
+            5.14185591034747176e-6,
+            8.14520729770146564e-8,
         ),
         (
             "leakage_high",
             s.leakage_high,
-            1.87423004370398572e-8,
-            3.95168133697497974e-9,
+            1.87423004369890882e-8,
+            3.95168133706552458e-9,
         ),
         (
             "leakage_low",
             s.leakage_low,
-            3.21090604765664771e-8,
-            7.82263163109265547e-9,
+            3.21090604765776871e-8,
+            7.82263163108959490e-9,
         ),
     ] {
         assert_pinned(&format!("{name}.mean"), stats.mean, mean);
