@@ -15,19 +15,12 @@
 //! * `--csv PATH` — also write machine-readable output;
 //! * `--from-lib PATH` — serve from a prebuilt characterization
 //!   library artifact (built on first use) where the binary supports
-//!   it (`figure8`, `table3`, `surrogate_speedup`);
-//! * `--out PATH` — where a perf binary writes its `BENCH_*.json`
-//!   artifact (default: the committed file in the working directory).
-//!
-//! The perf binaries also take a bare `--smoke` for CI-sized runs
-//! ([`BinArgs::parse_smoke`]).
+//!   it (`figure8`, `table3`).
 
 use std::collections::HashMap;
 
 use vls_core::CharacterizeOptions;
 use vls_runner::RunnerOptions;
-
-pub mod timing;
 
 /// Parsed command-line options for the regeneration binaries.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,9 +39,6 @@ pub struct BinArgs {
     pub csv: Option<String>,
     /// Optional prebuilt characterization-library artifact path.
     pub from_lib: Option<String>,
-    /// Optional `BENCH_*.json` artifact path; `None` writes the
-    /// committed file name.
-    pub out: Option<String>,
 }
 
 impl Default for BinArgs {
@@ -61,7 +51,6 @@ impl Default for BinArgs {
             jobs: None,
             csv: None,
             from_lib: None,
-            out: None,
         }
     }
 }
@@ -100,25 +89,14 @@ impl BinArgs {
                     out.jobs = Some(jobs);
                 }
                 "--csv" => out.csv = Some(value),
-                "--out" => out.out = Some(value),
                 "--from-lib" => out.from_lib = Some(value),
                 other => panic!(
                     "unknown flag {other}; supported: --trials --seed --step-mv --temp --jobs \
-                     --csv --from-lib --out"
+                     --csv --from-lib"
                 ),
             }
         }
         out
-    }
-
-    /// [`BinArgs::parse`] for the perf binaries, which also take a bare
-    /// `--smoke` flag: returns the parsed flags and whether `--smoke`
-    /// was among them.
-    pub fn parse_smoke(args: impl IntoIterator<Item = String>) -> (Self, bool) {
-        let args: Vec<String> = args.into_iter().collect();
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let rest = args.into_iter().filter(|a| a != "--smoke");
-        (Self::parse(rest), smoke)
     }
 
     /// Characterization options at the selected temperature.
@@ -142,18 +120,6 @@ impl BinArgs {
             std::fs::write(path, content).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
             eprintln!("wrote {path}");
         }
-    }
-
-    /// Writes a perf binary's JSON artifact to the `--out` path, or to
-    /// `default` (the committed `BENCH_*.json` name) without one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written.
-    pub fn write_artifact(&self, default: &str, json: &str) {
-        let path = self.out.as_deref().unwrap_or(default);
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
-        println!("wrote {path}");
     }
 }
 
@@ -204,16 +170,6 @@ mod tests {
         let a = BinArgs::parse(strings(&["--from-lib", "/tmp/lib.json"]));
         assert_eq!(a.from_lib.as_deref(), Some("/tmp/lib.json"));
         assert_eq!(BinArgs::default().from_lib, None);
-    }
-
-    #[test]
-    fn parses_smoke_and_the_artifact_path() {
-        let (a, smoke) = BinArgs::parse_smoke(strings(&["--out", "/tmp/b.json", "--smoke"]));
-        assert!(smoke);
-        assert_eq!(a.out.as_deref(), Some("/tmp/b.json"));
-        let (a, smoke) = BinArgs::parse_smoke(strings(&["--jobs", "2"]));
-        assert!(!smoke);
-        assert_eq!(a.out, None);
     }
 
     #[test]

@@ -162,14 +162,6 @@ impl TransmissionGate {
         }
     }
 
-    /// Minimum-size gate with a high-VT PMOS (for above-rail blocking).
-    pub fn minimum_hvt() -> Self {
-        Self {
-            pmos_hvt: true,
-            ..Self::minimum()
-        }
-    }
-
     /// Adds the gate: conducts between `a` and `b` when `enable` is
     /// high and `enable_b` (its complement) is low. The PMOS bulk ties
     /// to `vdd`. Device names: `{prefix}.mn`, `{prefix}.mp`.

@@ -627,33 +627,6 @@ impl CharLib {
         )?;
         Ok(TableMetrics::from_cell(&m))
     }
-
-    /// Batch form of [`Self::probe_table`]: probes every query, fanned
-    /// across workers per `runner`, results in query order regardless
-    /// of worker count. Counter totals are identical to probing the
-    /// queries serially (each probe records exactly one outcome via the
-    /// same atomic discipline); only the interleaving differs.
-    pub fn probe_batch(
-        &self,
-        queries: &[QueryPoint],
-        runner: &RunnerOptions,
-    ) -> Vec<Result<TableMetrics, FallbackReason>> {
-        vls_runner::run_indexed(queries.len(), runner, |i| self.probe_table(&queries[i]))
-    }
-
-    /// Batch form of [`Self::eval`]: answers every query — table fast
-    /// path or exact fallback — fanned across workers per `runner`,
-    /// results in query order regardless of worker count. This is the
-    /// shape optimizer candidate waves arrive in: mostly table hits
-    /// with the occasional exact transient, all accounted through the
-    /// shared counters.
-    pub fn eval_batch(
-        &self,
-        queries: &[QueryPoint],
-        runner: &RunnerOptions,
-    ) -> Vec<Result<Evaluation, CharLibError>> {
-        vls_runner::run_indexed(queries.len(), runner, |i| self.eval(&queries[i]))
-    }
 }
 
 /// The per-point protocol options: `base` with the grid coordinates
@@ -869,39 +842,6 @@ mod tests {
             Err(FallbackReason::OutOfTrustRegion("vddi"))
         );
         assert_eq!(lib.corner_clamp_count(), 1);
-    }
-
-    /// The batch API returns results in query order and lands the same
-    /// counter totals as serial probing.
-    #[test]
-    fn probe_batch_matches_serial_probing() {
-        let lib = one_point_lib();
-        let on_grid = QueryPoint {
-            slew: 50e-12,
-            load: 1e-15,
-            vddi: 1.0,
-            vddo: 1.0,
-            temp: 27.0,
-        };
-        let far = QueryPoint {
-            vddi: 5.0,
-            ..on_grid
-        };
-        let queries: Vec<QueryPoint> = (0..24)
-            .map(|i| if i % 3 == 0 { far } else { on_grid })
-            .collect();
-        let batch = lib.probe_batch(&queries, &RunnerOptions::with_jobs(4));
-        assert_eq!(batch.len(), queries.len());
-        for (i, r) in batch.iter().enumerate() {
-            if i % 3 == 0 {
-                assert_eq!(r, &Err(FallbackReason::OutOfTrustRegion("vddi")));
-            } else {
-                assert!(r.is_ok(), "query {i}");
-            }
-        }
-        let snap = lib.counter_snapshot();
-        assert_eq!(snap.hits, 16);
-        assert_eq!(snap.misses, 8);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! End-to-end exit-code contract of `vls-spice` — the `check` CI lint
-//! gate and deck parse errors. Spawns the real binary via
+//! gate, deck parse errors, and fault-plan failures with their replay
+//! line and retry recovery. Spawns the real binary via
 //! `CARGO_BIN_EXE_vls-spice`.
 
 use std::path::PathBuf;
@@ -158,4 +159,40 @@ fn missing_operands_exit_two() {
     assert_eq!(vls_spice(&[]).status.code(), Some(2));
     assert_eq!(vls_spice(&["check"]).status.code(), Some(2));
     assert_eq!(vls_spice(&["--check", "bogus"]).status.code(), Some(2));
+}
+
+/// The inverter deck a fault plan is armed on.
+const FAULT_DECK: &str = "\
+fault smoke deck
+Vdd vdd 0 1.2
+Vin in 0 PULSE(0 1.2 0.5n 50p 50p 2n 6n)
+Mp out in vdd vdd ptm90_pmos W=0.4u L=0.1u
+Mn out in 0 0 ptm90_nmos W=0.2u L=0.1u
+Cl out 0 1fF
+.op
+.tran 10p 4n
+.end
+";
+
+#[test]
+fn fault_plan_fails_with_a_replay_line_and_the_retry_ladder_recovers() {
+    // Forces Newton non-convergence at every stage of the DC homotopy.
+    const PLAN: &str = "newton@warm,newton@plain,newton@gmin,newton@source";
+    let path = deck_file("fault", FAULT_DECK);
+    let deck = path.to_str().unwrap();
+
+    let out = vls_spice(&[deck, "--fault-plan", PLAN, "--seed", "0xf5"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "the armed run succeeded: {stderr}");
+    assert!(stderr.contains("replay:"), "{stderr}");
+
+    let out = vls_spice(&[deck, "--fault-plan", PLAN, "--seed", "0xf5", "--retry", "3"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("recovered at escalation rung"), "{stdout}");
+    let _ = std::fs::remove_file(path);
 }

@@ -90,19 +90,6 @@ impl OpReport {
             | OpEntry::Source { name: n, .. } => n == name,
         })
     }
-
-    /// Total current supplied by all voltage sources whose branch
-    /// current is negative (delivering), A — a quick static-power
-    /// scan.
-    pub fn total_delivered_current(&self) -> f64 {
-        self.entries
-            .iter()
-            .filter_map(|e| match e {
-                OpEntry::Source { current, .. } if *current < 0.0 => Some(-current),
-                _ => None,
-            })
-            .sum()
-    }
 }
 
 impl core::fmt::Display for OpReport {
@@ -258,9 +245,6 @@ mod tests {
             }
             _ => unreachable!(),
         }
-
-        // VDD delivers the same current the resistor carries.
-        assert!((rep.total_delivered_current() - r_i).abs() < 1e-9);
 
         // Display renders every row.
         let text = rep.to_string();

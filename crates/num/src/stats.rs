@@ -2,8 +2,8 @@
 //!
 //! The Newton kernel counts what it actually did — device evaluations
 //! versus bypass hits, full pivoting factorizations versus numeric-only
-//! refactorizations — so every speedup claim in the bench binaries is
-//! backed by observable work reduction, not just wall time.
+//! refactorizations — so a speedup claim is backed by observable work
+//! reduction, not just wall time.
 
 /// Counters accumulated by one solve (a DC operating point or a whole
 /// transient), mergeable across runs for ensemble-level reporting.

@@ -1,5 +1,5 @@
 //! Rendering an optimization run: a human summary for the terminal
-//! and a JSON artifact for `BENCH_opt.json` / `--out`.
+//! and a JSON artifact for `vls-spice optimize --out`.
 
 use std::fmt::Write as _;
 

@@ -58,7 +58,7 @@ pub use ensemble::{
     RetryPolicy, TrialFailure, TrialSuccess,
 };
 pub use queue::{run_indexed, run_indexed_reported, FailureTaxonomyEntry, RunReport, ShardReport};
-pub use seed::{derive_seed, rng_for_run};
+pub use seed::derive_seed;
 
 /// How an experiment is spread across workers.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

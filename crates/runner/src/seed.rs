@@ -14,8 +14,6 @@
 //!   indices by ~2⁶³ in seed space before SplitMix64 mixes them, so
 //!   neighbouring trials share no visible stream structure.
 
-use vls_num::rng::Xoshiro256pp;
-
 /// The 64-bit golden-ratio constant used to spread run indices.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -26,16 +24,10 @@ pub fn derive_seed(master_seed: u64, index: u64) -> u64 {
     master_seed ^ index.wrapping_mul(GOLDEN)
 }
 
-/// The generator run `index` must use — [`derive_seed`] fed to the
-/// vendored xoshiro256++.
-pub fn rng_for_run(master_seed: u64, index: u64) -> Xoshiro256pp {
-    Xoshiro256pp::seed_from_u64(derive_seed(master_seed, index))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vls_num::rng::Rng;
+    use vls_num::rng::{Rng, Xoshiro256pp};
 
     #[test]
     fn seeds_are_pure_functions_of_master_and_index() {
@@ -61,8 +53,8 @@ mod tests {
 
     #[test]
     fn adjacent_runs_get_uncorrelated_streams() {
-        let mut a = rng_for_run(9, 0);
-        let mut b = rng_for_run(9, 1);
+        let mut a = Xoshiro256pp::seed_from_u64(derive_seed(9, 0));
+        let mut b = Xoshiro256pp::seed_from_u64(derive_seed(9, 1));
         let xs: Vec<u64> = (0..4).map(|_| a.next_u64()).collect();
         let ys: Vec<u64> = (0..4).map(|_| b.next_u64()).collect();
         assert_ne!(xs, ys);

@@ -1,5 +1,6 @@
 //! A minimal keep-alive HTTP/1.1 client for the daemon's own tests,
-//! load generator and CI smoke — the counterpart of [`crate::http`].
+//! the `vls-spice serve` smoke test and the benchmark — the
+//! counterpart of [`crate::http`].
 
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

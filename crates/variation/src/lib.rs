@@ -440,25 +440,6 @@ pub fn sample_trial_map(
     (seed, perturbation)
 }
 
-/// Runs `trials` Monte Carlo evaluations: each trial perturbs
-/// `circuit` with a deterministic per-trial RNG derived from `seed`
-/// and maps it through `eval`. Trials are sharded across available
-/// cores; their seeds are stable and the output is in trial order, so
-/// results are bit-identical regardless of the thread schedule.
-pub fn monte_carlo<T: Send>(
-    circuit: &Circuit,
-    spec: &VariationSpec,
-    trials: usize,
-    seed: u64,
-    eval: impl Fn(usize, Circuit) -> T + Sync,
-) -> Vec<T> {
-    vls_runner::run_indexed(trials, &vls_runner::RunnerOptions::default(), |k| {
-        let mut rng = vls_runner::rng_for_run(seed, k as u64);
-        let sample = perturb_circuit(circuit, spec, &mut rng);
-        eval(k, sample)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,21 +507,6 @@ mod tests {
             "σ = {} vs spec {expect}",
             s.std
         );
-    }
-
-    #[test]
-    fn monte_carlo_is_deterministic_per_seed() {
-        let c = base_circuit();
-        let widths = |seed| {
-            monte_carlo(&c, &VariationSpec::paper(), 5, seed, |_, s| {
-                match &s.elements()[1] {
-                    Element::Mosfet { geom, .. } => geom.width(),
-                    _ => unreachable!(),
-                }
-            })
-        };
-        assert_eq!(widths(42), widths(42));
-        assert_ne!(widths(42), widths(43));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Tier-1 regression gates for the `vls-opt` sizing optimizer.
 //!
-//! Three contracts, each cheap enough for every CI run:
+//! Four contracts, each cheap enough for every CI run:
 //!
 //! 1. **Pinned convergence** — on a smooth 2-knob toy bowl the search
 //!    lands on the analytic optimum to 1e-9, every run, forever.
@@ -9,10 +9,15 @@
 //! 3. **Surrogate lie** — a corrupted surrogate table lures the search
 //!    to a fake optimum; exact re-verification must refuse it, leaving
 //!    the run with no accepted best.
+//! 4. **The real simulator** — over two SS-TVS widths, with a surrogate
+//!    filled by exact characterizations, the search stays within its
+//!    budget, books every evaluation, and exact re-characterization
+//!    accepts its optimum within the gap tolerance.
 
+use sstvs::cells::VoltagePair;
 use sstvs::charlib::TableMetrics;
 use sstvs::opt::{
-    optimize, FnSource, Knob, Objective, OptimizerConfig, ParamSpace, SizingSurrogate,
+    optimize, FnSource, Knob, Objective, OptimizerConfig, ParamSpace, SimSource, SizingSurrogate,
     SurrogateConfig, Verdict,
 };
 use sstvs::runner::RunnerOptions;
@@ -173,4 +178,68 @@ fn surrogate_lie_is_refused_by_exact_verification() {
     };
     let out = optimize(&space, &objective(), &src, Some(&honest), &config).unwrap();
     assert!(out.best_restart().is_some(), "honest surrogate must pass");
+}
+
+#[test]
+fn sim_source_search_stays_in_budget_and_verifies_its_optimum() {
+    // The pull-down width and the current-limiter width at the paper's
+    // 0.8 V -> 1.2 V corner.
+    let space = ParamSpace::new(vec![
+        Knob::new("w_m1", 0.4, 0.8, 0.05),
+        Knob::new("w_mc", 0.8, 1.6, 0.1),
+    ])
+    .unwrap();
+    let source = SimSource::new(space.clone(), VoltagePair::low_to_high());
+    let runner = RunnerOptions::serial();
+    let surrogate = SizingSurrogate::build(
+        &space,
+        &SurrogateConfig {
+            samples_per_knob: 3,
+            trust_margin: 0.25,
+        },
+        &source,
+        &runner,
+    )
+    .unwrap();
+    let config = OptimizerConfig {
+        budget: 24,
+        restarts: 0,
+        gap_tolerance: 0.15,
+        runner,
+        ..OptimizerConfig::default()
+    };
+    let objective = Objective::DelayAtLeakageCap {
+        cap_amps: f64::INFINITY,
+    };
+    let out = optimize(&space, &objective, &source, Some(&surrogate), &config).unwrap();
+
+    assert!(
+        out.evaluations <= config.budget,
+        "{} evaluations exceed the budget {}",
+        out.evaluations,
+        config.budget
+    );
+    // Every evaluation is booked as exactly one kind, and none failed.
+    let a = &out.accounting;
+    assert_eq!(
+        a.surrogate_hits + a.exact_evals + a.yield_evals + a.failed_candidates,
+        out.evaluations as u64,
+        "{a:?}"
+    );
+    assert_eq!(a.failed_candidates, 0, "{a:?}");
+    assert_eq!(a.verification_evals, 1, "{a:?}");
+
+    let best = out
+        .best_restart()
+        .expect("no restart optimum survived exact verification");
+    assert_eq!(best.verification.verdict, Verdict::Accepted);
+    let gap = best
+        .verification
+        .gap
+        .expect("an accepted optimum has a gap");
+    assert!(
+        gap <= config.gap_tolerance,
+        "gap {gap} breaks the tolerance {}",
+        config.gap_tolerance
+    );
 }

@@ -23,7 +23,8 @@ Cl out 0 1fF
 .end
 ";
 
-/// The deck `scripts/ci.sh` drives `vls-spice` with under a fault plan.
+/// The netlist `crates/cli/tests/check_cli.rs` drives `vls-spice` with
+/// under a fault plan.
 const FAULT_DECK: &str = "\
 ci fault smoke deck
 Vdd vdd 0 1.2
