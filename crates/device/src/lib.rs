@@ -24,12 +24,10 @@
 //! assert!(i_nom > 5.0 * i_hvt, "high-VT must leak much less");
 //! ```
 
-mod bypass;
 mod mosfet;
 mod passive;
 mod source;
 
-pub use bypass::{BiasCache, MosBias, MosCapsCache, MosStamp, MosStampCache};
-pub use mosfet::{BoundMos, MosCaps, MosGeometry, MosModel, MosOp, MosPolarity};
+pub use mosfet::{BoundMos, MosBias, MosCaps, MosGeometry, MosModel, MosOp, MosPolarity, MosStamp};
 pub use passive::{Capacitor, Resistor};
 pub use source::SourceWaveform;

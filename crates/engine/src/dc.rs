@@ -63,8 +63,8 @@ impl DcSolution {
 
     /// Work counters of the Newton solve(s) that produced this
     /// solution: iterations, linear solves, full factorizations and
-    /// refactorizations, device evaluations and bypasses, and fired
-    /// fault injections.
+    /// refactorizations, device evaluations, and fired fault
+    /// injections.
     pub fn solver_stats(&self) -> SolverStats {
         self.stats
     }
@@ -153,7 +153,7 @@ fn check_budget(
 /// source-stepping, where `solve(x0, gmin, source_scale, faults)` runs
 /// one Newton sequence. The fault session covers the whole ladder:
 /// stage charges force attempts to fail, and the session is also handed
-/// to the solver for its own (pivot, bypass) hooks.
+/// to the solver for its own pivot hook.
 fn run_ladder<F>(
     options: &SimOptions,
     n: usize,
@@ -274,8 +274,7 @@ pub(crate) fn solve_dc_at_guess(
     // draw from the same ledger, so a plan's counts mean "per phase".
     let mut faults = FaultSession::new(&options.fault);
     // One kernel for the whole ladder: the symbolic pattern, LU
-    // storage, workspaces and bypass caches carry across every
-    // homotopy stage.
+    // storage and workspaces carry across every homotopy stage.
     let mut kernel = NewtonKernel::new(&mna, options, None);
     let (x, stats) = run_ladder(
         options,

@@ -28,13 +28,8 @@
 //!   branch current. Assembly reads only node voltages (the unit test
 //!   `assembly_reads_no_branch_current` pins it), so the first solve's
 //!   currents do not depend on the start's.
-//! * **Device bypass (SPICE3 style):** with a positive
-//!   [`SimOptions::bypass_vtol`], each MOSFET's linearization is cached
-//!   and replayed while its terminal voltages stay within tolerance —
-//!   but a bypassed evaluation is never allowed to decide convergence:
-//!   the kernel always confirms with one full-evaluation iteration.
 
-use vls_device::{BoundMos, MosBias, MosCaps, MosCapsCache, MosStamp, MosStampCache};
+use vls_device::{BoundMos, MosBias, MosCaps};
 use vls_fault::FaultSession;
 use vls_num::{
     invert_permutation, is_identity, weighted_converged, CscMatrix, DenseLu, DenseMatrix, NumError,
@@ -144,12 +139,12 @@ enum LinearPath {
     },
 }
 
-/// A per-circuit Newton solver with one-time symbolic analysis,
-/// reusable numeric workspaces, and optional device bypass. Build it
-/// once per circuit (and per analysis kind — DC and transient stamp
-/// different patterns) and call [`NewtonKernel::solve`] as many times
-/// as needed; caches and factors persist across calls, which is where
-/// the speedup on homotopy ladders and transient stepping comes from.
+/// A per-circuit Newton solver with one-time symbolic analysis and
+/// reusable numeric workspaces. Build it once per circuit (and per
+/// analysis kind — DC and transient stamp different patterns) and call
+/// [`NewtonKernel::solve`] as many times as needed; the pattern, the
+/// factors and the workspaces persist across calls, which is where the
+/// speedup on homotopy ladders and transient stepping comes from.
 pub(crate) struct NewtonKernel<'m, 'c> {
     mna: &'m Mna<'c>,
     path: LinearPath,
@@ -162,11 +157,6 @@ pub(crate) struct NewtonKernel<'m, 'c> {
     x_new: Vec<f64>,
     /// Damped-update workspace for the convergence test.
     delta: Vec<f64>,
-    /// Per-MOSFET linearization caches (indexed like `Mna::mosfets`).
-    stamp_caches: Vec<MosStampCache>,
-    /// Per-MOSFET Meyer capacitance caches (indexed like
-    /// `Mna::mosfets`).
-    cap_caches: Vec<MosCapsCache>,
     stats: SolverStats,
 }
 
@@ -183,9 +173,9 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
     ) -> Self {
         let n = mna.n_unknowns;
         let path = if n > options.sparse_threshold {
-            // Record the stamp sequence once. The dummy evaluator keeps
-            // the probe free of model evaluations: positions and stamp
-            // order are value-independent.
+            // Record the stamp sequence once. Positions and stamp order
+            // are value-independent. The probe's device evaluations
+            // belong to no solve, so they are not counted.
             let mut t = TripletMatrix::new(n);
             let mut b = vec![0.0; n];
             let x0 = vec![0.0; n];
@@ -195,9 +185,7 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                 gmin: options.gmin,
                 reactive: reactive_probe,
             };
-            mna.assemble_with_eval(&x0, &mut t, &mut b, &probe_ctx, &mut |_, _, _| {
-                MosStamp::default()
-            });
+            mna.assemble(&x0, &mut t, &mut b, &probe_ctx);
             match options.structure {
                 SolverStructure::Natural => {
                     let (pattern, map) = t.compile();
@@ -238,7 +226,6 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                 lu: DenseLu::empty(),
             }
         };
-        let n_mos = mna.mosfets().len();
         Self {
             mna,
             path,
@@ -246,8 +233,6 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
             x: Vec::with_capacity(n),
             x_new: vec![0.0; n],
             delta: vec![0.0; n],
-            stamp_caches: vec![MosStampCache::new(); n_mos],
-            cap_caches: vec![MosCapsCache::new(); n_mos],
             stats: SolverStats::default(),
         }
     }
@@ -257,64 +242,30 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
         self.stats
     }
 
-    /// Meyer capacitance evaluation through the bypass cache (the
-    /// transient loop's analogue of device bypass). `bypass_tol ≤ 0`
-    /// always evaluates.
-    pub fn eval_caps(
-        &mut self,
-        mos_idx: usize,
-        dev: &BoundMos,
-        bias: MosBias,
-        bypass_tol: f64,
-    ) -> MosCaps {
-        if let Some(c) = self.cap_caches[mos_idx].lookup(&bias, bypass_tol) {
-            self.stats.cap_bypasses += 1;
-            return c;
-        }
-        let c = dev.caps(bias.vg, bias.vd, bias.vs, bias.vb);
-        if bypass_tol > 0.0 {
-            self.cap_caches[mos_idx].store(bias, c);
-        }
+    /// The Meyer capacitances of `dev` at `bias`, counted in
+    /// `SolverStats::cap_evals`.
+    pub fn eval_caps(&mut self, dev: &BoundMos, bias: MosBias) -> MosCaps {
         self.stats.cap_evals += 1;
-        c
+        dev.caps(bias.vg, bias.vd, bias.vs, bias.vb)
     }
 
     /// Assembles the linearized system at the iterate `self.x` under
-    /// `ctx` into the linear path's matrix and `self.b`. Each MOSFET is
-    /// evaluated, or, when `allow_bypass`, its cached linearization is
-    /// replayed while its bias stays within `bypass_tol`. Returns
-    /// whether any evaluation was bypassed.
-    fn assemble(&mut self, ctx: &StampCtx<'_>, allow_bypass: bool, bypass_tol: f64) -> bool {
+    /// `ctx` into the linear path's matrix and `self.b`, evaluating
+    /// every MOSFET.
+    fn assemble(&mut self, ctx: &StampCtx<'_>) {
         let Self {
             mna,
             path,
             b,
             x,
-            stamp_caches,
             stats,
             ..
         } = self;
         b.fill(0.0);
-        let mut bypassed = false;
-        let mut eval = |mos_idx: usize, dev: &BoundMos, bias: MosBias| {
-            if allow_bypass {
-                if let Some(s) = stamp_caches[mos_idx].lookup(&bias, bypass_tol) {
-                    stats.device_bypasses += 1;
-                    bypassed = true;
-                    return s;
-                }
-            }
-            let s = MosStamp::from_op(&dev.op(bias.vg, bias.vd, bias.vs, bias.vb), &bias);
-            if bypass_tol > 0.0 {
-                stamp_caches[mos_idx].store(bias, s);
-            }
-            stats.device_evals += 1;
-            s
-        };
-        match path {
+        stats.device_evals += match path {
             LinearPath::Dense { a, .. } => {
                 a.clear();
-                mna.assemble_with_eval(x, a, b, ctx, &mut eval);
+                mna.assemble(x, a, b, ctx)
             }
             LinearPath::Sparse { pattern, map, .. } | LinearPath::Ordered { pattern, map, .. } => {
                 pattern.reset_values();
@@ -323,7 +274,7 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                     map,
                     cursor: 0,
                 };
-                mna.assemble_with_eval(x, &mut sink, b, ctx, &mut eval);
+                let evals = mna.assemble(x, &mut sink, b, ctx);
                 // Pattern-drift tripwire: the stamp sequence must replay
                 // the recorded one stamp for stamp.
                 assert_eq!(
@@ -331,9 +282,9 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                     map.len(),
                     "assembly stamped a different sequence than the symbolic phase"
                 );
+                evals
             }
-        }
-        bypassed
+        };
     }
 
     /// One damped Newton solve from `x0` under `ctx`. Returns the
@@ -350,21 +301,10 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
         debug_assert_eq!(x0.len(), n);
         self.x.clear();
         self.x.extend_from_slice(x0);
-        let bypass_tol = options.bypass_vtol.max(0.0);
-        let mut allow_bypass = bypass_tol > 0.0;
-        if bypass_tol > 0.0 && faults.fire_bypass() {
-            // Plant a garbage linearization (an all-zero stamp tagged at
-            // the zero bias) in every device cache, armed to hit once
-            // regardless of how far the solver is from that bias. The
-            // confirm-iteration rule below is what must absorb it.
-            for cache in &mut self.stamp_caches {
-                cache.poison(MosBias::default(), MosStamp::default());
-            }
-        }
 
         for iter in 1..=options.max_newton_iters {
             self.stats.newton_iters += 1;
-            let bypassed = self.assemble(ctx, allow_bypass, bypass_tol);
+            self.assemble(ctx);
             let Self {
                 mna,
                 path,
@@ -441,7 +381,6 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                 x[i] += d;
             }
             if clamped {
-                allow_bypass = bypass_tol > 0.0;
                 continue;
             }
             // Assembly reads only node voltages, so the first solve's
@@ -453,16 +392,8 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
             if weighted_converged(dv, xv, options.vabstol, options.reltol)
                 && (iter == 1 || weighted_converged(di, xi, options.iabstol, options.reltol))
             {
-                if bypassed {
-                    // A bypassed evaluation must never decide
-                    // convergence: confirm with one full-evaluation
-                    // iteration before accepting.
-                    allow_bypass = false;
-                    continue;
-                }
                 return Ok((x.clone(), iter));
             }
-            allow_bypass = bypass_tol > 0.0;
         }
         Err(NewtonFailure::NoConvergence)
     }
@@ -561,7 +492,7 @@ mod tests {
                 };
                 k.x.clear();
                 k.x.extend_from_slice(x);
-                k.assemble(&ctx, false, 0.0);
+                k.assemble(&ctx);
                 let mut trip = TripletMatrix::new(mna.n_unknowns);
                 let mut b = vec![0.0; mna.n_unknowns];
                 mna.assemble(x, &mut trip, &mut b, &ctx);
@@ -697,7 +628,7 @@ mod tests {
             let mut k = NewtonKernel::new(&mna, &options, Some(&companions));
             k.x.clear();
             k.x.extend_from_slice(x);
-            k.assemble(&ctx, false, 0.0);
+            k.assemble(&ctx);
             let (LinearPath::Sparse { pattern, .. } | LinearPath::Ordered { pattern, .. }) =
                 &k.path
             else {

@@ -223,8 +223,7 @@ impl<'c> Mna<'c> {
         self.n_node_unknowns
     }
 
-    /// The compiled MOSFETs, in element order. Assembly passes a
-    /// MOSFET's index here to the evaluator.
+    /// The compiled MOSFETs, in element order.
     pub fn mosfets(&self) -> &[MosInstance] {
         &self.mosfets
     }
@@ -252,8 +251,10 @@ impl<'c> Mna<'c> {
 
     /// Assembles the linearized MNA system at iterate `x` into `a`
     /// (pre-cleared by the caller) and `b` (pre-zeroed), evaluating
-    /// every MOSFET directly. Returns the number of MOSFET evaluations
-    /// made, for the caller's `SolverStats::device_evals`.
+    /// every MOSFET once. Returns the number of MOSFET evaluations made
+    /// (the MOSFET count), for the caller's `SolverStats::device_evals`.
+    /// The stamp *positions* and their order depend only on the circuit
+    /// and on which companion branches `ctx` carries, never on `x`.
     pub fn assemble<M: MatrixSink>(
         &self,
         x: &[f64],
@@ -261,31 +262,6 @@ impl<'c> Mna<'c> {
         b: &mut [f64],
         ctx: &StampCtx,
     ) -> u64 {
-        let mut evals = 0;
-        self.assemble_with_eval(x, a, b, ctx, &mut |_, dev, bias| {
-            evals += 1;
-            MosStamp::from_op(&dev.op(bias.vg, bias.vd, bias.vs, bias.vb), &bias)
-        });
-        evals
-    }
-
-    /// [`Mna::assemble`] with the MOSFET evaluation factored out: `eval`
-    /// receives `(MOSFET index, bound device, bias)` and returns the
-    /// stamp values. This is the hook the symbolic kernel uses for
-    /// SPICE3-style device bypass — the caller decides per device
-    /// whether to evaluate the model or replay a cached linearization.
-    /// The stamp *positions* are independent of `eval`.
-    pub fn assemble_with_eval<M, F>(
-        &self,
-        x: &[f64],
-        a: &mut M,
-        b: &mut [f64],
-        ctx: &StampCtx,
-        eval: &mut F,
-    ) where
-        M: MatrixSink,
-        F: FnMut(usize, &BoundMos, MosBias) -> MosStamp,
-    {
         debug_assert_eq!(x.len(), self.n_unknowns);
         debug_assert_eq!(b.len(), self.n_unknowns);
 
@@ -341,7 +317,8 @@ impl<'c> Mna<'c> {
                 Stamp::Mosfet(k) => {
                     let m = &self.mosfets[k];
                     let (nd, ng, ns, nb) = (m.d, m.g, m.s, m.b);
-                    let s = eval(k, &m.dev, m.bias(x));
+                    let bias = m.bias(x);
+                    let s = MosStamp::from_op(&m.dev.op(bias.vg, bias.vd, bias.vs, bias.vb), &bias);
                     // Drain row: current I_D leaves the drain node into
                     // the channel.
                     if let Some(rd) = nd {
@@ -390,6 +367,7 @@ impl<'c> Mna<'c> {
                 }
             }
         }
+        self.mosfets.len() as u64
     }
 }
 

@@ -65,13 +65,6 @@ pub struct SimOptions {
     /// guarding numeric-only refactorization. SPICE's classic value by
     /// default; `1.0` is strict partial pivoting (retry rung 2).
     pub sparse_pivot_tol: f64,
-    /// Device-bypass voltage tolerance, V: a MOSFET (or its Meyer
-    /// capacitances) is not re-evaluated while every terminal voltage
-    /// stays within this of the cached evaluation. `0.0` (the default)
-    /// disables bypassing, so every Newton iteration evaluates every
-    /// device; small positive values (≈1e-6) trade exactness within
-    /// `reltol` for fewer evaluations on waveform plateaus.
-    pub bypass_vtol: f64,
     /// Static electrical-rule checking to run before any analysis.
     /// `Off` (the default) keeps only the structural `validate()`
     /// pass; `Connectivity`/`Full` run `vls-check` and refuse to
@@ -115,7 +108,6 @@ impl Default for SimOptions {
             lte_tol: 1e-3,
             sparse_threshold: 64,
             sparse_pivot_tol: 1e-3,
-            bypass_vtol: 0.0,
             check: CheckLevel::Off,
             fault: FaultPlan::none(),
             newton_budget: None,
@@ -144,14 +136,14 @@ impl SimOptions {
     /// * rung 1 — gmin floor raised 100× (stiffer regularization pulls
     ///   floating/bistable nodes toward convergence);
     /// * rung 2 — additionally strict partial pivoting
-    ///   (`sparse_pivot_tol = 1.0`) with bypassing off, in the caller's
-    ///   sparse order. A frozen pivot that is no longer its column's
-    ///   largest candidate fails the refactorization health check, so
-    ///   the sparse path factorizes as a fresh strict-pivoting
-    ///   factorization would, and no linearization is replayed from a
-    ///   cache. The dense path already pivots strictly, so on a circuit
-    ///   of at most [`SimOptions::sparse_threshold`] unknowns with
-    ///   bypass off this rung repeats rung 1;
+    ///   (`sparse_pivot_tol = 1.0`), in the caller's sparse order. A
+    ///   frozen pivot that is no longer its column's largest candidate
+    ///   fails the refactorization health check, so the sparse path
+    ///   factorizes as a fresh strict-pivoting factorization would.
+    ///   This rung differs from rung 1 only on sparse circuits: the
+    ///   dense path (at most [`SimOptions::sparse_threshold`] unknowns,
+    ///   every cell harness) already pivots strictly, so there it
+    ///   repeats rung 1 bit for bit;
     /// * rung 3+ — additionally quarters the LTE tolerance and the
     ///   initial transient step, and the maximum step when one is set
     ///   (LTE headroom on every stepper path, whatever `max_step` a
@@ -170,7 +162,6 @@ impl SimOptions {
         o.gmin = self.gmin * 100.0;
         if rung >= 2 {
             o.sparse_pivot_tol = 1.0;
-            o.bypass_vtol = 0.0;
         }
         if rung >= 3 {
             o.lte_tol = self.lte_tol / 4.0;
@@ -192,8 +183,6 @@ mod tests {
         assert_eq!(o.gmin, 1e-12);
         assert_eq!(o.temperature, Temperature::ROOM);
         assert_eq!(o.sparse_pivot_tol, 1e-3);
-        // Bypass must default OFF so the kernel is exact by default.
-        assert_eq!(o.bypass_vtol, 0.0);
         // Fault injection and budgets must default inert/unlimited.
         assert!(o.fault.is_empty());
         assert_eq!(o.newton_budget, None);

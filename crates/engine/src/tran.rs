@@ -416,8 +416,8 @@ fn transient_from_state(
     // One symbolic kernel for the whole run: the transient stamp
     // pattern (including every companion branch — zero-cap slots are
     // stamped as placeholders, so the pattern never changes between
-    // steps) is analyzed once, and the LU storage, workspaces and
-    // bypass caches persist across all time steps.
+    // steps) is analyzed once, and the LU storage and workspaces
+    // persist across all time steps.
     let probe: Vec<CompanionCap> = caps.iter().map(|cap| cap.companion(1.0, 1.0)).collect();
     let mut kernel = NewtonKernel::new(&mna, options, Some(&probe));
 
@@ -457,8 +457,8 @@ fn transient_from_state(
 
     while t < tstop - BREAKPOINT_TOL {
         // Refresh Meyer capacitances at the last accepted solution.
-        for (k, (m, &base)) in mna.mosfets().iter().zip(&mos_caps).enumerate() {
-            let mc = kernel.eval_caps(k, &m.dev, m.bias(&x), options.bypass_vtol);
+        for (m, &base) in mna.mosfets().iter().zip(&mos_caps) {
+            let mc = kernel.eval_caps(&m.dev, m.bias(&x));
             let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
             for (cap, val) in caps[base..base + 5].iter_mut().zip(values) {
                 cap.c = val;

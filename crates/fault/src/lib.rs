@@ -4,9 +4,9 @@
 //! full `VDDI × VDDO` sweeps where a single non-convergent trial can
 //! silently poison a table or abort a shard. The failure paths that
 //! protect against that — homotopy escalation, pivot-health fallback,
-//! LTE step rejection, bypass-confirm iterations, retry ladders — are
-//! exactly the paths ordinary workloads almost never exercise. This
-//! crate makes them drivable on demand:
+//! LTE step rejection, retry ladders — are exactly the paths ordinary
+//! workloads almost never exercise. This crate makes them drivable on
+//! demand:
 //!
 //! * a [`FaultPlan`] is plain data describing *which* hooks fire and
 //!   *for which trials* (a seed predicate `seed % every == offset`,
@@ -98,10 +98,6 @@ pub enum FaultSite {
     /// stepper: the accepted-looking step is rejected and the step
     /// size quartered, as if the predictor had disagreed wildly.
     LteStorm,
-    /// Poison every device-bypass cache with a garbage linearization
-    /// that hits once regardless of bias — the confirm-iteration
-    /// guarantee must absorb it.
-    BypassPoison,
 }
 
 impl FaultSite {
@@ -111,7 +107,6 @@ impl FaultSite {
             FaultSite::Newton(stage) => format!("newton@{}", stage.token()),
             FaultSite::PivotHealth => "pivot".into(),
             FaultSite::LteStorm => "lte".into(),
-            FaultSite::BypassPoison => "bypass".into(),
         }
     }
 
@@ -122,9 +117,8 @@ impl FaultSite {
         match s {
             "pivot" => Ok(FaultSite::PivotHealth),
             "lte" => Ok(FaultSite::LteStorm),
-            "bypass" => Ok(FaultSite::BypassPoison),
             other => Err(format!(
-                "unknown fault site `{other}` (newton@<stage>|pivot|lte|bypass)"
+                "unknown fault site `{other}` (newton@<stage>|pivot|lte)"
             )),
         }
     }
@@ -233,8 +227,8 @@ impl FaultPlan {
 
     /// Parses the compact plan string: comma-separated specs, each
     /// `site[:count=N][:every=M:offset=K]`. Sites are
-    /// `newton@warm|plain|gmin|source`, `pivot`, `lte`, `bypass`. An
-    /// empty string is the inert plan.
+    /// `newton@warm|plain|gmin|source`, `pivot`, `lte`. An empty string
+    /// is the inert plan.
     ///
     /// # Errors
     ///
@@ -301,7 +295,6 @@ pub struct FaultSession {
     newton: [u32; 4],
     pivot: u32,
     lte: u32,
-    bypass: u32,
     fired: u64,
 }
 
@@ -319,7 +312,6 @@ impl FaultSession {
                 FaultSite::Newton(stage) => &mut s.newton[stage.index()],
                 FaultSite::PivotHealth => &mut s.pivot,
                 FaultSite::LteStorm => &mut s.lte,
-                FaultSite::BypassPoison => &mut s.bypass,
             };
             *slot = slot.saturating_add(spec.count);
         }
@@ -354,12 +346,6 @@ impl FaultSession {
         Self::take(lte, fired)
     }
 
-    /// Consume a bypass-cache-poisoning charge.
-    pub fn fire_bypass(&mut self) -> bool {
-        let Self { bypass, fired, .. } = self;
-        Self::take(bypass, fired)
-    }
-
     /// Total injections fired so far — folded into
     /// `SolverStats::injected_faults` by the engine.
     pub fn fired(&self) -> u64 {
@@ -373,9 +359,9 @@ mod tests {
 
     #[test]
     fn plan_parses_and_round_trips() {
-        let text = "newton@gmin:count=2,pivot,lte:count=3:every=16:offset=5,bypass";
+        let text = "newton@gmin:count=2,pivot,lte:count=3:every=16:offset=5";
         let plan = FaultPlan::parse(text).unwrap();
-        assert_eq!(plan.specs().len(), 4);
+        assert_eq!(plan.specs().len(), 3);
         assert_eq!(plan.render(), text);
         assert_eq!(FaultPlan::parse(&plan.render()).unwrap(), plan);
         assert_eq!(plan.specs()[0].site, FaultSite::Newton(LadderStage::Gmin));
@@ -391,6 +377,10 @@ mod tests {
         // No cache reads eviction pressure, so `evict` is no site.
         let evict = FaultPlan::parse("evict").unwrap_err();
         assert!(evict.contains("unknown fault site `evict`"), "{evict}");
+        // No solver replays a cached linearization, so `bypass` is no
+        // site either.
+        let bypass = FaultPlan::parse("bypass").unwrap_err();
+        assert!(bypass.contains("unknown fault site `bypass`"), "{bypass}");
         assert!(FaultPlan::parse("newton@sideways").is_err());
         assert!(FaultPlan::parse("pivot:count=x").is_err());
         assert!(FaultPlan::parse("pivot:frequency=2").is_err());
@@ -418,7 +408,7 @@ mod tests {
 
     #[test]
     fn session_charges_are_consumed_exactly() {
-        let plan = FaultPlan::parse("newton@plain:count=2,pivot,bypass").unwrap();
+        let plan = FaultPlan::parse("newton@plain:count=2,pivot,lte").unwrap();
         let mut s = FaultSession::new(&plan);
         assert!(s.fire_newton(LadderStage::Plain));
         assert!(s.fire_newton(LadderStage::Plain));
@@ -426,7 +416,7 @@ mod tests {
         assert!(!s.fire_newton(LadderStage::Warm), "other stages cold");
         assert!(s.fire_pivot());
         assert!(!s.fire_pivot());
-        assert!(s.fire_bypass());
+        assert!(s.fire_lte());
         assert!(!s.fire_lte());
         assert_eq!(s.fired(), 4);
     }
@@ -437,7 +427,7 @@ mod tests {
         for stage in LadderStage::ALL {
             assert!(!s.fire_newton(stage));
         }
-        assert!(!s.fire_pivot() && !s.fire_lte() && !s.fire_bypass());
+        assert!(!s.fire_pivot() && !s.fire_lte());
         assert_eq!(s.fired(), 0);
         assert_eq!(FaultSession::inert().fired(), 0);
     }

@@ -1,9 +1,9 @@
 //! Solver instrumentation counters.
 //!
-//! The Newton kernel counts what it actually did — device evaluations
-//! versus bypass hits, full pivoting factorizations versus numeric-only
-//! refactorizations — so a speedup claim is backed by observable work
-//! reduction, not just wall time.
+//! The Newton kernel counts what it actually did — device and
+//! capacitance evaluations, full pivoting factorizations versus
+//! numeric-only refactorizations — so a speedup claim is backed by
+//! observable work reduction, not just wall time.
 
 /// Counters accumulated by one solve (a DC operating point or a whole
 /// transient), mergeable across runs for ensemble-level reporting.
@@ -22,14 +22,17 @@ pub struct SolverStats {
     /// Refactorizations whose pivot-health check failed, forcing a
     /// fall back to a full re-pivoting factorization.
     pub refactor_fallbacks: u64,
-    /// MOSFET operating-point evaluations actually performed.
+    /// MOSFET operating-point evaluations performed.
     pub device_evals: u64,
-    /// MOSFET evaluations skipped because every terminal voltage was
-    /// within the bypass tolerance of the cached evaluation.
+    /// Always zero: nothing increments it, since the solver no longer
+    /// bypasses device evaluations. Its only reader is the `vlsbench`
+    /// benchmark; it goes when the benchmark stops reading it (ROADMAP
+    /// item 3, step 1).
     pub device_bypasses: u64,
-    /// Meyer capacitance evaluations actually performed.
+    /// Meyer capacitance evaluations performed.
     pub cap_evals: u64,
-    /// Meyer capacitance evaluations served from the bypass cache.
+    /// Always zero, like [`SolverStats::device_bypasses`], and kept for
+    /// the same reader.
     pub cap_bypasses: u64,
     /// Accepted transient time steps.
     pub tran_steps: u64,
@@ -66,8 +69,9 @@ impl SolverStats {
         *self == SolverStats::default()
     }
 
-    /// Fraction of MOSFET evaluation requests served by the bypass
-    /// cache, in `[0, 1]`. Zero when nothing was requested.
+    /// `device_bypasses / (device_evals + device_bypasses)`, so always
+    /// zero. Kept for the `vlsbench` benchmark's `device.bypass_frac`
+    /// metric, its only reader, like [`SolverStats::device_bypasses`].
     pub fn bypass_rate(&self) -> f64 {
         let total = self.device_evals + self.device_bypasses;
         if total == 0 {
@@ -81,18 +85,14 @@ impl SolverStats {
     pub fn render(&self) -> String {
         let mut line = format!(
             "newton {} iters, {} solves; factorizations {} full / {} refactor ({} fallback); \
-             device evals {} ({} bypassed, {:.1}%); cap evals {} ({} bypassed); \
-             steps {} accepted / {} rejected",
+             device evals {}; cap evals {}; steps {} accepted / {} rejected",
             self.newton_iters,
             self.linear_solves,
             self.full_factorizations,
             self.refactorizations,
             self.refactor_fallbacks,
             self.device_evals,
-            self.device_bypasses,
-            100.0 * self.bypass_rate(),
             self.cap_evals,
-            self.cap_bypasses,
             self.tran_steps,
             self.rejected_steps,
         );
@@ -145,6 +145,6 @@ mod tests {
             ..SolverStats::default()
         };
         assert!((t.bypass_rate() - 0.75).abs() < 1e-15);
-        assert!(t.render().contains("75.0%"));
+        assert!(!t.render().contains("bypass"));
     }
 }

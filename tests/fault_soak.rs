@@ -2,8 +2,8 @@
 //!
 //! A 256-trial ensemble runs with a deterministic fault plan armed —
 //! forced Newton non-convergence on a seed-selected subset of trials,
-//! pivot-health degradation, LTE-rejection storms and bypass-cache
-//! poisoning sprinkled across the rest. The contract under test:
+//! pivot-health degradation and LTE-rejection storms sprinkled across
+//! the rest. The contract under test:
 //!
 //! * the ensemble **completes** — injected failures surface as typed,
 //!   machine-readable taxonomy entries in a partial report, never as
@@ -34,10 +34,10 @@ const TSTOP: f64 = 1e-9;
 /// The soak plan: trials whose seed lands on `seed % 5 == 3` get all
 /// four homotopy stages sabotaged (guaranteed non-convergence); other
 /// predicates sprinkle recoverable single-shot faults — a pivot-health
-/// latch, an LTE rejection and a poisoned bypass cache.
+/// latch and an LTE rejection.
 const SOAK_PLAN: &str = "newton@warm:every=5:offset=3,newton@plain:every=5:offset=3,\
                          newton@gmin:every=5:offset=3,newton@source:every=5:offset=3,\
-                         pivot:every=7:offset=2,lte:every=3:offset=1,bypass:every=11:offset=4";
+                         pivot:every=7:offset=2,lte:every=3:offset=1";
 
 /// Seeds the plan dooms to non-convergence.
 fn doomed(seed: u64) -> bool {
@@ -58,12 +58,10 @@ fn victim() -> Harness {
 }
 
 /// Base options for faulted runs: the sparse path (so the pivot hook
-/// is live) with bypassing on (so the poison hook is live), plan armed
-/// per trial seed.
+/// is live), plan armed per trial seed.
 fn faulted_sim(plan: &FaultPlan, seed: u64) -> SimOptions {
     SimOptions {
         sparse_threshold: 0,
-        bypass_vtol: 1e-6,
         fault: plan.arm(seed),
         ..SimOptions::default()
     }
@@ -232,7 +230,7 @@ fn soak_outcomes_are_schedule_independent() {
 }
 
 /// Satellite 1 — the work counters stay self-consistent on every path:
-/// clean, pivot-degraded, stage-sabotaged, LTE-stormed and poisoned.
+/// clean, pivot-degraded, stage-sabotaged and LTE-stormed.
 /// Invariants: every linear solve was backed by exactly one
 /// factorization (full or numeric-only), Newton accounting dominates
 /// linear solves (failed billed attempts only inflate it), and pivot
@@ -245,7 +243,7 @@ fn solver_stats_counters_stay_consistent_under_injection() {
         "pivot:count=3",
         "newton@plain",
         "newton@warm,newton@plain",
-        "lte:count=2,bypass",
+        "lte:count=2",
         SOAK_PLAN,
     ];
     for text in plans {
@@ -370,7 +368,6 @@ fn fuzzed_perturbations_never_panic_and_fail_typed() {
             // Exercise both analysis kinds on the sparse path.
             let sim = SimOptions {
                 sparse_threshold: 0,
-                bypass_vtol: 1e-6,
                 ..SimOptions::default()
             };
             let sol = solve_dc(&circuit, &sim)

@@ -1,22 +1,19 @@
 //! Golden equivalence suite for the symbolic-reuse Newton kernel, the
 //! one Newton loop every DC, DC-sweep and transient solve runs on:
 //!
-//! * retry rung 2's concession (strict partial pivoting in natural
-//!   order, bypass off; `SimOptions::escalated`) against the default.
-//!   The dense path never reads the sparse pivot tolerance, so all six
-//!   cells must match **bit for bit**, with equal `SolverStats`. Forced
-//!   onto the sparse path the two pivot orders round differently, so
-//!   the trajectories agree within 1e-8 V over the same accepted steps;
+//! * retry rung 2's concession (strict partial pivoting in the
+//!   caller's sparse order; `SimOptions::escalated`) against the
+//!   default. The dense path never reads the sparse pivot tolerance, so
+//!   all six cells must match **bit for bit**, with equal `SolverStats`.
+//!   Forced onto the sparse path the two pivot orders round
+//!   differently, so the trajectories agree within 1e-8 V over the same
+//!   accepted steps;
 //! * the sparse path against the dense path, within 1e-8 V;
 //! * structure reuse as a counter invariant on a floorplan above the
 //!   sparse threshold: every kernel factorizes in full once plus once
 //!   per counted pivot-health fallback, refactorizes on every other
 //!   linear solve, and with default options refactorizes on at least
 //!   90 % of them;
-//! * bypass is an approximation bounded by `bypass_vtol`; a property
-//!   test checks bypass-on vs bypass-off transients stay within the
-//!   solver's `reltol`/`lte_tol` band across randomized Monte Carlo
-//!   process perturbations;
 //! * the `SolverStats` counters must be nonzero and plumbed all the
 //!   way into the runner's `RunReport`.
 //!
@@ -33,17 +30,14 @@ use sstvs::flows::experiments::tables::{monte_carlo_stats_reported, DEFAULT_MC_S
 use sstvs::flows::CharacterizeOptions;
 use sstvs::netlist::chipgen::{generate_chip, ChipSpec};
 use sstvs::netlist::{Circuit, Element};
-use sstvs::num::rng::Xoshiro256pp;
 use sstvs::runner::RunnerOptions;
-use sstvs::variation::{sample_perturbation, VariationSpec};
 
 /// A short window covering the first stimulus cycle's rise and fall —
 /// plenty of Newton work without the full two-cycle runtime.
 const TSTOP: f64 = 4e-9;
 
-fn sim(bypass_vtol: f64, sparse_threshold: usize) -> SimOptions {
+fn sim(sparse_threshold: usize) -> SimOptions {
     SimOptions {
-        bypass_vtol,
         sparse_threshold,
         ..SimOptions::default()
     }
@@ -104,8 +98,8 @@ fn worst_deviation(a: &TransientResult, b: &TransientResult, probe: sstvs::netli
 
 #[test]
 fn strict_pivoting_matches_the_default_on_all_six_cells() {
-    let dense = sim(0.0, 64);
-    let sparse = sim(0.0, 0);
+    let dense = sim(64);
+    let sparse = sim(0);
     for (kind, domains) in six_cells() {
         let h = build(&kind, domains);
         let label = kind.label();
@@ -133,9 +127,9 @@ fn strict_pivoting_matches_the_default_on_all_six_cells() {
         // on node voltages, so the corrector needs 1.29-1.43 iterations
         // per accepted step (1.77-2.05 from the linear predictor with
         // branch currents tested at once, 2.5-2.9 from the last accepted
-        // point), and no step is rejected. With bypass off, every
-        // iteration evaluates every MOSFET and every accepted step
-        // refreshes every MOSFET's capacitances.
+        // point), and no step is rejected. Every iteration evaluates
+        // every MOSFET and every accepted step refreshes every MOSFET's
+        // capacitances.
         let stats = default.solver_stats();
         let steps = (default.len() - 1) as u64;
         assert_eq!(stats.tran_steps, steps, "{label}");
@@ -184,8 +178,8 @@ fn sparse_kernel_agrees_with_the_dense_path() {
     // Extends `sparse_and_dense_paths_agree` (engine unit suite) to the
     // SS-TVS cell, under both pivot tolerances.
     let h = build(&ShifterKind::sstvs(), VoltagePair::low_to_high());
-    let dense = run(&h.circuit, &sim(0.0, 64));
-    for options in [sim(0.0, 0), strict(&sim(0.0, 0))] {
+    let dense = run(&h.circuit, &sim(64));
+    for options in [sim(0), strict(&sim(0))] {
         let sparse = run(&h.circuit, &options);
         let tol = options.sparse_pivot_tol;
         let d = worst_deviation(&dense, &sparse, h.output);
@@ -251,80 +245,17 @@ fn structure_reuse_holds_as_a_counter_invariant() {
     }
 }
 
-/// Linear interpolation of a transient at time `t`.
-fn sample_at(times: &[f64], series: &[f64], t: f64) -> f64 {
-    match times.iter().position(|&tk| tk >= t) {
-        None => *series.last().unwrap(),
-        Some(0) => series[0],
-        Some(k) => {
-            let (t0, t1) = (times[k - 1], times[k]);
-            let w = if t1 > t0 { (t - t0) / (t1 - t0) } else { 0.0 };
-            series[k - 1] + w * (series[k] - series[k - 1])
-        }
-    }
-}
-
-#[test]
-fn bypass_stays_within_solver_tolerances_across_mc_perturbations() {
-    // Property test: for randomized process perturbations of the cell
-    // devices, the bypassed transient must track the exact one within
-    // the band the solver itself guarantees (reltol of the swing plus
-    // the LTE budget) at every common time point, with identical final
-    // logic levels.
-    let domains = VoltagePair::low_to_high();
-    let reference = build(&ShifterKind::sstvs(), domains);
-    let spec = VariationSpec::paper();
-    let exact_sim = sim(0.0, 64);
-    let bypass_sim = sim(1e-4, 64);
-    // Bypass perturbs the Newton trajectory, which shifts edge timing
-    // within reltol; on a 50 ps edge that timing shift converts to a
-    // few millivolts of pointwise deviation.
-    let tol = 10.0 * (exact_sim.reltol * domains.vddo + exact_sim.lte_tol);
-
-    for seed in 1..=4u64 {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let map = sample_perturbation(&reference.circuit, &spec, &mut rng, |name| {
-            name.starts_with("dut")
-        });
-        let mut circuit = reference.circuit.clone();
-        map.apply(&mut circuit);
-
-        let exact = run(&circuit, &exact_sim);
-        let bypassed = run(&circuit, &bypass_sim);
-        let (t_ex, v_ex) = (exact.times(), exact.node_series(reference.output));
-        let (t_by, v_by) = (bypassed.times(), bypassed.node_series(reference.output));
-
-        let mut worst = 0.0f64;
-        for k in 0..=200 {
-            let t = TSTOP * k as f64 / 200.0;
-            let d = (sample_at(t_ex, &v_ex, t) - sample_at(t_by, &v_by, t)).abs();
-            worst = worst.max(d);
-        }
-        assert!(
-            worst <= tol,
-            "seed {seed}: bypass strayed {worst:.3e} V from exact (tol {tol:.3e})"
-        );
-
-        let stats = bypassed.solver_stats();
-        assert!(
-            stats.device_bypasses > 0,
-            "seed {seed}: bypass never engaged: {}",
-            stats.render()
-        );
-    }
-}
-
 #[test]
 fn solver_stats_are_nonzero_and_reach_the_run_report() {
     let h = build(&ShifterKind::sstvs(), VoltagePair::low_to_high());
 
-    // Exact run: every hot-path counter but the bypass ones.
-    let stats = run(&h.circuit, &sim(0.0, 64)).solver_stats();
+    // Every hot-path counter ticks; the bypass counters never do.
+    let stats = run(&h.circuit, &sim(64)).solver_stats();
     assert!(stats.newton_iters > 0 && stats.linear_solves > 0);
     assert!(stats.full_factorizations > 0);
     assert!(stats.device_evals > 0 && stats.cap_evals > 0);
-    assert_eq!(stats.device_bypasses, 0, "bypass engaged while disabled");
-    assert_eq!(stats.cap_bypasses, 0, "cap bypass engaged while disabled");
+    assert_eq!(stats.device_bypasses, 0);
+    assert_eq!(stats.cap_bypasses, 0);
 
     // End-to-end plumbing: characterization trials fold their counters
     // through `characterize_with_stats` into the runner's RunReport.

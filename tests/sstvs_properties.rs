@@ -32,11 +32,21 @@ fn sstvs_translates_any_domain_pair() {
     }
 }
 
+/// The charlib grid points where the default's `leakage_low` misses the
+/// 1e-3 budget, at 2.0–3.1e-3 from the reference. ROADMAP items 7 (the
+/// leakage hold) and 8 (the time step) are where to close them. Each
+/// must still miss the budget, so the change that closes one removes it
+/// here, and must stay below 5e-3.
+const LEAKAGE_LOW_EXCEPTIONS: [(f64, f64); 5] =
+    [(0.8, 0.8), (1.0, 0.8), (1.0, 1.0), (1.2, 1.0), (1.2, 1.2)];
+
 /// Self-convergence: the default tolerances must reproduce a tightly
 /// converged reference (reltol 1e-6, vabstol 1e-9) to within 2e-3
-/// relative on delays and power and 1e-3 on leakage, in both
-/// directions. This is the accuracy budget any change to the stepper
-/// (its Newton start, step control or tolerances) has to stay inside.
+/// relative on delays and power and 1e-3 on leakage, at every point of
+/// the charlib grid {0.8, 1.0, 1.2} V², up and down conversions and
+/// equal rails alike, except the known `leakage_low` misses above. This
+/// is the accuracy budget any change to the stepper (its Newton start,
+/// step control or tolerances) has to stay inside.
 #[test]
 fn default_tolerances_match_a_tight_reference() {
     let tight = {
@@ -45,7 +55,9 @@ fn default_tolerances_match_a_tight_reference() {
         o.sim.vabstol = 1e-9;
         o
     };
-    for domains in [VoltagePair::low_to_high(), VoltagePair::high_to_low()] {
+    let grid = [0.8, 1.0, 1.2];
+    for (vddi, vddo) in grid.into_iter().flat_map(|i| grid.map(|o| (i, o))) {
+        let domains = VoltagePair::new(vddi, vddo);
         let kind = ShifterKind::sstvs();
         let run = |o: &CharacterizeOptions| {
             characterize(&kind, domains, o).unwrap_or_else(|e| panic!("{domains:?}: {e}"))
@@ -70,15 +82,19 @@ fn default_tolerances_match_a_tight_reference() {
             "leakage_low",
         ];
         for (k, (name, (value, reference))) in names.iter().zip(pairs).enumerate() {
+            let rel = (value - reference).abs() / reference.abs();
+            let at = format!(
+                "{vddi:.1}->{vddo:.1} V {name}: {value:e} is {rel:.2e} from the reference \
+                 {reference:e}"
+            );
+            if *name == "leakage_low" && LEAKAGE_LOW_EXCEPTIONS.contains(&(vddi, vddo)) {
+                assert!(rel > 1e-3, "{at}, inside the budget: drop the exception");
+                assert!(rel < 5e-3, "{at}");
+                continue;
+            }
             // Delays and power first, then the two leakage currents.
             let tol = if k < 4 { 2e-3 } else { 1e-3 };
-            let rel = (value - reference).abs() / reference.abs();
-            assert!(
-                rel <= tol,
-                "{:.1}->{:.1} V {name}: {value:e} is {rel:.2e} from the reference {reference:e}",
-                domains.vddi,
-                domains.vddo
-            );
+            assert!(rel <= tol, "{at}");
         }
     }
 }
