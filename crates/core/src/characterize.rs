@@ -50,10 +50,10 @@
 //! options and on [`PROTOCOL_REVISION`], which stands for the protocol's
 //! code. Bump it in any change that moves a measured number at unchanged
 //! options (a new hold start, window or stimulus, say, or a new Newton
-//! start in the engine, which moves each converged point within the
-//! Newton tolerance), so libraries built before the change are rebuilt
-//! instead of served. A change that moves only counters or run time
-//! leaves it alone.
+//! start or capacitance evaluation point in the engine, which moves
+//! each converged point within the Newton tolerance), so libraries
+//! built before the change are rebuilt instead of served. A change that
+//! moves only counters or run time leaves it alone.
 
 use vls_cells::{Harness, ShifterKind, VoltagePair};
 use vls_engine::{run_transient, run_transient_from, SimOptions, SolverStats, TransientResult};
@@ -64,12 +64,16 @@ use vls_waveform::{average, delay_between, is_settled, Edge, Waveform};
 use crate::CoreError;
 
 /// The revision of the measurement protocol's code (see the module
-/// docs). Revision 3 starts each transient Newton solve from a cubic
-/// extrapolation and judges its first iteration on node voltages,
-/// which moved measured numbers by up to 1.2e-6 relative. Revision 2
-/// continues both leakage holds from the stimulus run, which moved
-/// leakages by up to 0.7 %; revision 1 is every protocol before it.
-pub const PROTOCOL_REVISION: u32 = 3;
+/// docs). Revision 4 takes each transient step's Meyer capacitances
+/// from the previous step's last Newton assembly instead of a separate
+/// walk at the accepted point, which moved measured numbers by up to
+/// 2.4e-5 relative. Revision 3 starts each transient Newton solve from
+/// a cubic extrapolation and judges its first iteration on node
+/// voltages, which moved measured numbers by up to 1.2e-6 relative.
+/// Revision 2 continues both leakage holds from the stimulus run, which
+/// moved leakages by up to 0.7 %; revision 1 is every protocol before
+/// it.
+pub const PROTOCOL_REVISION: u32 = 4;
 
 /// Options for one characterization run.
 #[derive(Debug, Clone, PartialEq)]

@@ -30,6 +30,13 @@
 //! Meyer model this is not exactly charge-conserving; the transient
 //! engine's step control keeps the resulting error well below the delay
 //! and power resolutions reported in EXPERIMENTS.md.
+//!
+//! [`BoundMos::op_caps`] returns the operating point and the
+//! capacitances from one model walk; its operating point is bitwise
+//! [`BoundMos::op`] (unit test `op_caps_is_op_bitwise`), and
+//! [`BoundMos::caps`] is its capacitance half. The transient engine
+//! stamps through `op_caps`, so every transient Newton iteration walks
+//! each MOSFET once; it calls `caps` only when the stepper restarts.
 
 use vls_units::{BOLTZMANN, ELECTRON_CHARGE};
 
@@ -536,36 +543,86 @@ impl BoundMos {
     /// [`MosModel::ids_terminal`] of the bound card, geometry and
     /// temperature.
     pub fn op(&self, vg: f64, vd: f64, vs: f64, vb: f64) -> MosOp {
+        self.walk(vg, vd, vs, vb).0
+    }
+
+    /// [`Self::op`] and the Meyer-style capacitances from one model
+    /// walk: the capacitances reuse the walk's threshold, pinch-off
+    /// voltage and smoothed overdrive, and the operating point is bitwise
+    /// [`Self::op`] (unit test `op_caps_is_op_bitwise`). The transient
+    /// engine stamps through this.
+    pub fn op_caps(&self, vg: f64, vd: f64, vs: f64, vb: f64) -> (MosOp, MosCaps) {
+        let (op, vds, vov, swapped) = self.walk(vg, vd, vs, vb);
+        // Inversion factor: 0 deep below threshold, → 1 in strong inversion.
+        let inv = vov / (vov + self.two_phi_t);
+        // Saturation factor: 0 in triode (vds ≈ 0), → 1 deep in saturation.
+        let sat = vds / (vds + vov + self.phi_t);
+        // Meyer partition: triode ½/½, saturation ⅔/0, smooth in between.
+        let cgs_i = self.cox_total * inv * (0.5 + sat / 6.0);
+        let cgd_i = self.cox_total * inv * 0.5 * (1.0 - sat);
+        let cgb_i = self.cox_total * (1.0 - inv) * 0.7;
+
+        let (mut cgs, mut cgd) = (cgs_i + self.ov_gs, cgd_i + self.ov_gd);
+        if swapped {
+            core::mem::swap(&mut cgs, &mut cgd);
+        }
+        let caps = MosCaps {
+            cgs,
+            cgd,
+            cgb: cgb_i,
+            cdb: self.cj,
+            csb: self.cj,
+        };
+        (op, caps)
+    }
+
+    /// Meyer-style capacitances at an operating point, from absolute
+    /// terminal voltages: the capacitance half of [`Self::op_caps`].
+    pub fn caps(&self, vg: f64, vd: f64, vs: f64, vb: f64) -> MosCaps {
+        self.op_caps(vg, vd, vs, vb).1
+    }
+
+    /// One model walk: the operating point, then the channel as the
+    /// Meyer partition reads it in the NMOS frame after any drain/source
+    /// swap (the drain–source voltage, `≥ 0`, the smoothed overdrive
+    /// `n·φt·softplus(V_P/φt)`, and whether the swap was made).
+    #[inline]
+    fn walk(&self, vg: f64, vd: f64, vs: f64, vb: f64) -> (MosOp, f64, f64, bool) {
         // NMOS frame. For PMOS every argument and the current are
         // negated, so the partial-derivative signs cancel.
         let vgs = self.sign * (vg - vs);
         let vds = self.sign * (vd - vs);
         let vsb = self.sign * (vs - vb);
-        let (id, di_dvgs, di_dvds, di_dvsb) = if vds >= 0.0 {
+        let swapped = vds < 0.0;
+        let (id, di_dvgs, di_dvds, di_dvsb, vov) = if !swapped {
             self.canonical(vgs, vds, vsb)
         } else {
             // Drain/source swap: with canonical partials (c1, c2, c3)
             // at (vgs−vds, −vds, vsb+vds) and the negated current, the
             // chain rule gives (−c1, c1+c2−c3, −c3).
-            let (i, c1, c2, c3) = self.canonical(vgs - vds, -vds, vsb + vds);
-            (-i, -c1, c1 + c2 - c3, -c3)
+            let (i, c1, c2, c3, vov) = self.canonical(vgs - vds, -vds, vsb + vds);
+            (-i, -c1, c1 + c2 - c3, -c3, vov)
         };
         // Terminal map: vgs = vg−vs, vds = vd−vs, vsb = vs−vb, so
         // gm = ∂/∂vgs, gds = ∂/∂vds, gmb = ∂/∂vb = −∂/∂vsb.
-        MosOp {
+        let op = MosOp {
             id: self.sign * id,
             gm: di_dvgs,
             gds: di_dvds,
             gmb: -di_dvsb,
-        }
+        };
+        let vds = if swapped { -vds } else { vds };
+        (op, vds, vov, swapped)
     }
 
-    /// Canonical current and its partial derivatives with respect to
-    /// `(vgs, vds, vsb)`, for `vds ≥ 0` in the NMOS frame. The value
-    /// takes the operation sequence of [`MosModel::ids`], so it is
-    /// bitwise identical; the partials come from the chain rule, each
-    /// softplus sharing its exponential with its sigmoid.
-    fn canonical(&self, vgs: f64, vds: f64, vsb: f64) -> (f64, f64, f64, f64) {
+    /// Canonical current, its partial derivatives with respect to
+    /// `(vgs, vds, vsb)` and the smoothed overdrive, for `vds ≥ 0` in
+    /// the NMOS frame. The value takes the operation sequence of
+    /// [`MosModel::ids`], so it is bitwise identical; the partials come
+    /// from the chain rule, each softplus sharing its exponential with
+    /// its sigmoid.
+    #[inline]
+    fn canonical(&self, vgs: f64, vds: f64, vsb: f64) -> (f64, f64, f64, f64, f64) {
         debug_assert!(vds >= 0.0);
         let phi_t = self.phi_t;
         // Threshold, with the body-effect clamp differentiated
@@ -610,48 +667,7 @@ impl BoundMos {
         let di_dvsb = di_dvp * dvp_dvsb;
         let di_dvds =
             di_dvp * self.dibl_n + i0 * (drev_dur / phi_t) * clm + i0 * (fwd - rev) * self.lambda;
-        (i, di_dvgs, di_dvds, di_dvsb)
-    }
-
-    /// Meyer-style capacitances at an operating point, from absolute
-    /// terminal voltages.
-    pub fn caps(&self, vg: f64, vd: f64, vs: f64, vb: f64) -> MosCaps {
-        // Work in the NMOS frame.
-        let mut vgs = self.sign * (vg - vs);
-        let mut vds = self.sign * (vd - vs);
-        let mut vsb = self.sign * (vs - vb);
-        let swapped = vds < 0.0;
-        if swapped {
-            vgs -= vds;
-            vsb += vds;
-            vds = -vds;
-        }
-        let phi_t = self.phi_t;
-        let body = self.gamma * ((self.phi + vsb).max(1e-3).sqrt() - self.sqrt_phi);
-        let vt = self.vt_t + body - self.dibl_eff * vds;
-        let vp = (vgs - vt) / self.n;
-        let vov = self.n_phi_t * softplus(vp / phi_t);
-
-        // Inversion factor: 0 deep below threshold, → 1 in strong inversion.
-        let inv = vov / (vov + self.two_phi_t);
-        // Saturation factor: 0 in triode (vds ≈ 0), → 1 deep in saturation.
-        let sat = vds / (vds + vov + phi_t);
-        // Meyer partition: triode ½/½, saturation ⅔/0, smooth in between.
-        let cgs_i = self.cox_total * inv * (0.5 + sat / 6.0);
-        let cgd_i = self.cox_total * inv * 0.5 * (1.0 - sat);
-        let cgb_i = self.cox_total * (1.0 - inv) * 0.7;
-
-        let (mut cgs, mut cgd) = (cgs_i + self.ov_gs, cgd_i + self.ov_gd);
-        if swapped {
-            core::mem::swap(&mut cgs, &mut cgd);
-        }
-        MosCaps {
-            cgs,
-            cgd,
-            cgb: cgb_i,
-            cdb: self.cj,
-            csb: self.cj,
-        }
+        (i, di_dvgs, di_dvds, di_dvsb, vov)
     }
 }
 
@@ -1141,5 +1157,63 @@ mod tests {
         assert_eq!(a.gmb, 0.0, "clamped body effect must have zero slope");
         assert!((a.gm - c.gm).abs() <= 1e-6 * c.gm.abs().max(1e-12));
         assert!((a.gds - c.gds).abs() <= 1e-6 * c.gds.abs().max(1e-12));
+    }
+
+    /// The operating point of the one-walk `op_caps` is `op` bit for bit
+    /// on every PTM-90 card, over a bias grid that the test checks
+    /// reaches cutoff, subthreshold and strong inversion, both channel
+    /// orientations, the body-effect clamp and both saturated softplus
+    /// branches of the overdrive.
+    #[test]
+    fn op_caps_is_op_bitwise() {
+        let op_bits = |o: MosOp| [o.id, o.gm, o.gds, o.gmb].map(f64::to_bits);
+        let volts = [
+            -3.0, -1.2, -0.5, 0.0, 0.1, 0.25, 0.4, 0.6, 0.9, 1.2, 2.0, 3.5,
+        ];
+        let biases: Vec<MosBias> = volts
+            .iter()
+            .flat_map(|&vg| volts.map(|vd| (vg, vd)))
+            .flat_map(|(vg, vd)| [-1.2, 0.0, 0.3, 1.2].map(|vs| (vg, vd, vs)))
+            .flat_map(|(vg, vd, vs)| [-1.2, 0.0, 1.2].map(|vb| MosBias::new(vg, vd, vs, vb)))
+            .collect();
+        // Cutoff, subthreshold, strong inversion, swapped, clamped,
+        // softplus saturated high, softplus saturated low.
+        let mut seen = [0usize; 7];
+        for card in [
+            MosModel::ptm90_nmos(),
+            MosModel::ptm90_nmos_hvt(),
+            MosModel::ptm90_nmos_lvt(),
+            MosModel::ptm90_pmos(),
+            MosModel::ptm90_pmos_hvt(),
+        ] {
+            let dev = card.bind(&MosGeometry::from_microns(0.4, 0.1), T);
+            for &MosBias { vg, vd, vs, vb } in &biases {
+                let (op, _) = dev.op_caps(vg, vd, vs, vb);
+                let at = format!("{:?} {} V at {vg} {vd} {vs} {vb}", card.polarity, card.vt0);
+                assert_eq!(op_bits(op), op_bits(dev.op(vg, vd, vs, vb)), "{at}");
+
+                // Where the bias sits, in the oriented NMOS frame.
+                let [mut vgs, mut vds, mut vsb] = [vg - vs, vd - vs, vs - vb].map(|v| dev.sign * v);
+                if vds < 0.0 {
+                    seen[3] += 1;
+                    (vgs, vds, vsb) = (vgs - vds, -vds, vsb + vds);
+                }
+                let shifted = dev.phi + vsb;
+                seen[4] += usize::from(shifted < 1e-3);
+                let body = dev.gamma * (shifted.max(1e-3).sqrt() - dev.sqrt_phi);
+                let vt = dev.vt_t + body - dev.dibl_eff * vds;
+                let u = (vgs - vt) / dev.n / dev.phi_t;
+                seen[if u < -10.0 {
+                    0
+                } else if u < 0.0 {
+                    1
+                } else {
+                    2
+                }] += 1;
+                seen[5] += usize::from(u > 40.0);
+                seen[6] += usize::from(u < -40.0);
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "a regime is missing: {seen:?}");
     }
 }

@@ -143,7 +143,7 @@ pub fn run_ac(
         gmin: options.gmin,
         reactive: None,
     };
-    mna.assemble(x, &mut g_trip, &mut b_unused, &ctx);
+    mna.assemble(x, &mut g_trip, &mut b_unused, &ctx, None);
     let g = g_trip.to_csc();
 
     // Capacitance stamps: explicit caps plus Meyer caps at the op, in

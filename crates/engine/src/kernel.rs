@@ -157,6 +157,9 @@ pub(crate) struct NewtonKernel<'m, 'c> {
     x_new: Vec<f64>,
     /// Damped-update workspace for the convergence test.
     delta: Vec<f64>,
+    /// Each MOSFET's Meyer capacitances at the iterate the last
+    /// transient assembly stamped, in `Mna::mosfets` order.
+    caps: Vec<MosCaps>,
     stats: SolverStats,
 }
 
@@ -185,7 +188,7 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                 gmin: options.gmin,
                 reactive: reactive_probe,
             };
-            mna.assemble(&x0, &mut t, &mut b, &probe_ctx);
+            mna.assemble(&x0, &mut t, &mut b, &probe_ctx, None);
             match options.structure {
                 SolverStructure::Natural => {
                     let (pattern, map) = t.compile();
@@ -233,6 +236,7 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
             x: Vec::with_capacity(n),
             x_new: vec![0.0; n],
             delta: vec![0.0; n],
+            caps: vec![MosCaps::default(); mna.mosfets().len()],
             stats: SolverStats::default(),
         }
     }
@@ -242,30 +246,42 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
         self.stats
     }
 
-    /// The Meyer capacitances of `dev` at `bias`, counted in
+    /// The Meyer capacitances of `dev` at `bias` from a standalone walk
+    /// of its model, outside any assembly, counted in
     /// `SolverStats::cap_evals`.
     pub fn eval_caps(&mut self, dev: &BoundMos, bias: MosBias) -> MosCaps {
         self.stats.cap_evals += 1;
         dev.caps(bias.vg, bias.vd, bias.vs, bias.vb)
     }
 
+    /// Each MOSFET's Meyer capacitances, in `Mna::mosfets` order, at the
+    /// iterate the last transient assembly stamped: after a successful
+    /// transient [`Self::solve`], the iterate its final Newton update
+    /// started from.
+    pub fn recorded_caps(&self) -> &[MosCaps] {
+        &self.caps
+    }
+
     /// Assembles the linearized system at the iterate `self.x` under
     /// `ctx` into the linear path's matrix and `self.b`, evaluating
-    /// every MOSFET.
+    /// every MOSFET. A transient assembly (`ctx.reactive` set) records
+    /// every MOSFET's capacitances at the iterate in the same walk.
     fn assemble(&mut self, ctx: &StampCtx<'_>) {
         let Self {
             mna,
             path,
             b,
             x,
+            caps,
             stats,
             ..
         } = self;
         b.fill(0.0);
+        let record = ctx.reactive.is_some().then_some(caps.as_mut_slice());
         stats.device_evals += match path {
             LinearPath::Dense { a, .. } => {
                 a.clear();
-                mna.assemble(x, a, b, ctx)
+                mna.assemble(x, a, b, ctx, record)
             }
             LinearPath::Sparse { pattern, map, .. } | LinearPath::Ordered { pattern, map, .. } => {
                 pattern.reset_values();
@@ -274,7 +290,7 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                     map,
                     cursor: 0,
                 };
-                let evals = mna.assemble(x, &mut sink, b, ctx);
+                let evals = mna.assemble(x, &mut sink, b, ctx, record);
                 // Pattern-drift tripwire: the stamp sequence must replay
                 // the recorded one stamp for stamp.
                 assert_eq!(
@@ -427,10 +443,7 @@ mod tests {
         for (m, &base) in mna.mosfets().iter().zip(mos_caps) {
             let bias = m.bias(x);
             let mc = m.dev.caps(bias.vg, bias.vd, bias.vs, bias.vb);
-            let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
-            for (cap, c) in caps[base..base + 5].iter_mut().zip(values) {
-                cap.c = c;
-            }
+            DynamicCap::set_meyer(&mut caps[base..base + 5], &mc);
         }
     }
 
@@ -495,7 +508,7 @@ mod tests {
                 k.assemble(&ctx);
                 let mut trip = TripletMatrix::new(mna.n_unknowns);
                 let mut b = vec![0.0; mna.n_unknowns];
-                mna.assemble(x, &mut trip, &mut b, &ctx);
+                mna.assemble(x, &mut trip, &mut b, &ctx, None);
                 let (a, reference) = match &k.path {
                     LinearPath::Ordered {
                         pattern, new_of, ..
@@ -510,6 +523,15 @@ mod tests {
                 };
                 assert_eq!(*a, reference, "{what} matrix at sample {s}");
                 assert_eq!(k.b, b, "{what} right-hand side at sample {s}");
+                if reactive.is_some() {
+                    // The transient assembly recorded every MOSFET's
+                    // capacitances at the iterate, in MOSFET order.
+                    for (m, mc) in mna.mosfets().iter().zip(k.recorded_caps()) {
+                        let bias = m.bias(x);
+                        let walked = m.dev.caps(bias.vg, bias.vd, bias.vs, bias.vb);
+                        assert_eq!(*mc, walked, "recorded capacitances at sample {s}");
+                    }
+                }
             }
         }
         times.len()
@@ -574,7 +596,7 @@ mod tests {
                 let assembled_at = |iterate: &[f64]| {
                     let mut a = TripletMatrix::new(n);
                     let mut b = vec![0.0; n];
-                    mna.assemble(iterate, &mut a, &mut b, &ctx);
+                    mna.assemble(iterate, &mut a, &mut b, &ctx, None);
                     (bits(a.to_csc().values()), bits(&b))
                 };
                 assert_eq!(assembled_at(x), assembled_at(&skewed), "t = {t:e}");

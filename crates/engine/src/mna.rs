@@ -12,7 +12,7 @@
 //! terminal unknowns and constants, with each MOSFET's card bound to its
 //! geometry and the analysis temperature. Assembly reads that table.
 
-use vls_device::{BoundMos, MosBias, MosStamp, SourceWaveform};
+use vls_device::{BoundMos, MosBias, MosCaps, MosStamp, SourceWaveform};
 use vls_netlist::{Circuit, Element, NodeId};
 use vls_num::{DenseMatrix, TripletMatrix};
 
@@ -251,16 +251,20 @@ impl<'c> Mna<'c> {
 
     /// Assembles the linearized MNA system at iterate `x` into `a`
     /// (pre-cleared by the caller) and `b` (pre-zeroed), evaluating
-    /// every MOSFET once. Returns the number of MOSFET evaluations made
-    /// (the MOSFET count), for the caller's `SolverStats::device_evals`.
-    /// The stamp *positions* and their order depend only on the circuit
-    /// and on which companion branches `ctx` carries, never on `x`.
+    /// every MOSFET once. With a `record` (one slot per MOSFET, in
+    /// [`Self::mosfets`] order) that one walk also writes each MOSFET's
+    /// Meyer capacitances at `x` into it. Returns the number of MOSFET
+    /// evaluations made (the MOSFET count), for the caller's
+    /// `SolverStats::device_evals`. The stamp *positions* and their
+    /// order depend only on the circuit and on which companion branches
+    /// `ctx` carries, never on `x` or `record`.
     pub fn assemble<M: MatrixSink>(
         &self,
         x: &[f64],
         a: &mut M,
         b: &mut [f64],
         ctx: &StampCtx,
+        mut record: Option<&mut [MosCaps]>,
     ) -> u64 {
         debug_assert_eq!(x.len(), self.n_unknowns);
         debug_assert_eq!(b.len(), self.n_unknowns);
@@ -318,7 +322,16 @@ impl<'c> Mna<'c> {
                     let m = &self.mosfets[k];
                     let (nd, ng, ns, nb) = (m.d, m.g, m.s, m.b);
                     let bias = m.bias(x);
-                    let s = MosStamp::from_op(&m.dev.op(bias.vg, bias.vd, bias.vs, bias.vb), &bias);
+                    let (vg, vd, vs, vb) = (bias.vg, bias.vd, bias.vs, bias.vb);
+                    let op = match record.as_deref_mut() {
+                        Some(caps) => {
+                            let (op, mc) = m.dev.op_caps(vg, vd, vs, vb);
+                            caps[k] = mc;
+                            op
+                        }
+                        None => m.dev.op(vg, vd, vs, vb),
+                    };
+                    let s = MosStamp::from_op(&op, &bias);
                     // Drain row: current I_D leaves the drain node into
                     // the channel.
                     if let Some(rd) = nd {
@@ -428,7 +441,7 @@ mod tests {
             gmin: 0.0,
             reactive: None,
         };
-        mna.assemble(&x, &mut a, &mut b, &ctx);
+        mna.assemble(&x, &mut a, &mut b, &ctx, None);
         let g = 1e-3;
         assert!((a.get(0, 0) - g).abs() < 1e-15); // top: r1 only
         assert!((a.get(1, 1) - 2.0 * g).abs() < 1e-15); // mid: r1 + r2
@@ -460,7 +473,7 @@ mod tests {
             gmin: 0.0,
             reactive: None,
         };
-        mna.assemble(&[0.0], &mut a, &mut b, &ctx);
+        mna.assemble(&[0.0], &mut a, &mut b, &ctx, None);
         let sol = a.solve(&b).unwrap();
         // 1 mA into 1 kΩ ⇒ +1 V.
         assert!((sol[0] - 1.0).abs() < 1e-12);
@@ -486,7 +499,7 @@ mod tests {
             gmin: 0.0,
             reactive: Some(&caps),
         };
-        mna.assemble(&[0.0], &mut a, &mut b, &ctx);
+        mna.assemble(&[0.0], &mut a, &mut b, &ctx, None);
         assert!((a.get(0, 0) - 2e-3).abs() < 1e-15); // r + geq
         assert!((b[0] - 2e-3).abs() < 1e-15);
     }
@@ -506,7 +519,7 @@ mod tests {
             gmin: 0.0,
             reactive: None,
         };
-        mna.assemble(&[0.0, 0.0], &mut a, &mut b, &ctx);
+        mna.assemble(&[0.0, 0.0], &mut a, &mut b, &ctx, None);
         assert_eq!(b[1], 0.5);
     }
 }

@@ -6,6 +6,22 @@
 //! `i = geq·v − ieq`; the resulting resistive network is solved by the
 //! same damped Newton iteration as the DC analysis.
 //!
+//! Each transient Newton iteration walks every MOSFET's model once, for
+//! its stamp and its capacitances together (`BoundMos::op_caps`, whose
+//! operating point is bitwise `op` by the `vls-device` unit test
+//! `op_caps_is_op_bitwise`), and the kernel records the capacitances at
+//! the iterate it stamps. A step's companions take the capacitances the
+//! accepted step before it recorded in its last assembly: they differ
+//! from those at the accepted point by the final Newton update, which
+//! the convergence test holds within the Newton tolerance. The stepper
+//! makes a standalone capacitance walk (`BoundMos::caps`) only at a
+//! restart (the DC or UIC start, a resume or a breakpoint landing), at
+//! the start point, so `SolverStats::cap_evals` is the MOSFET count times
+//! one plus the breakpoint landings
+//! (`tests/newton_kernel.rs::strict_pivoting_matches_the_default_on_all_six_cells`),
+//! and a resume at a breakpoint reproduces the uninterrupted run bit for
+//! bit (`resuming_at_a_breakpoint_reproduces_the_uninterrupted_run`).
+//!
 //! Two extrapolations look ahead from the accepted points kept since the
 //! last restart (DC, UIC, a resume or a breakpoint landing):
 //!
@@ -40,6 +56,7 @@
 
 use std::collections::VecDeque;
 
+use vls_device::MosCaps;
 use vls_fault::FaultSession;
 use vls_netlist::{Circuit, Element, NodeId};
 use vls_num::SolverStats;
@@ -210,6 +227,15 @@ pub(crate) struct DynamicCap {
 }
 
 impl DynamicCap {
+    /// Sets the five Meyer slots of one MOSFET (`slots`, in the order
+    /// [`dynamic_caps`] lays them out) to `mc`.
+    pub(crate) fn set_meyer(slots: &mut [DynamicCap], mc: &MosCaps) {
+        let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
+        for (cap, c) in slots.iter_mut().zip(values) {
+            cap.c = c;
+        }
+    }
+
     /// The companion model for a step of `h` at damping `theta`. A
     /// zero-capacitance slot stamps a zero placeholder, so the stamp
     /// pattern never changes between steps.
@@ -456,12 +482,20 @@ fn transient_from_state(
     let mut companions: Vec<CompanionCap> = Vec::with_capacity(caps.len());
 
     while t < tstop - BREAKPOINT_TOL {
-        // Refresh Meyer capacitances at the last accepted solution.
-        for (m, &base) in mna.mosfets().iter().zip(&mos_caps) {
-            let mc = kernel.eval_caps(&m.dev, m.bias(&x));
-            let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
-            for (cap, val) in caps[base..base + 5].iter_mut().zip(values) {
-                cap.c = val;
+        // The Meyer capacitances of this step's companions: at a restart
+        // (no accepted point kept), a standalone capacitance walk at the
+        // start point, which a resume repeats
+        // (`resuming_at_a_breakpoint_reproduces_the_uninterrupted_run`);
+        // otherwise what the accepted step's last assembly recorded (the
+        // six-cell counter rule in `tests/newton_kernel.rs` counts both).
+        if past.is_empty() {
+            for (m, &base) in mna.mosfets().iter().zip(&mos_caps) {
+                let mc = kernel.eval_caps(&m.dev, m.bias(&x));
+                DynamicCap::set_meyer(&mut caps[base..base + 5], &mc);
+            }
+        } else {
+            for (mc, &base) in kernel.recorded_caps().iter().zip(&mos_caps) {
+                DynamicCap::set_meyer(&mut caps[base..base + 5], mc);
             }
         }
 

@@ -47,14 +47,6 @@ impl Complex {
         self.im.atan2(self.re)
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Self {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// `true` when both parts are finite.
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
@@ -278,7 +270,6 @@ mod tests {
         assert!(close(a * b, Complex::new(5.0, 5.0)));
         assert!(close((a * b) / b, a));
         assert!(close(-a, Complex::new(-1.0, -2.0)));
-        assert!(close(a.conj(), Complex::new(1.0, -2.0)));
         assert!(close(a * 2.0, Complex::new(2.0, 4.0)));
         assert!(close(Complex::J * Complex::J, Complex::new(-1.0, 0.0)));
         assert!((Complex::new(3.0, 4.0).abs() - 5.0).abs() < 1e-15);

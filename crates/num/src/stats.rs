@@ -22,14 +22,21 @@ pub struct SolverStats {
     /// Refactorizations whose pivot-health check failed, forcing a
     /// fall back to a full re-pivoting factorization.
     pub refactor_fallbacks: u64,
-    /// MOSFET operating-point evaluations performed.
+    /// MOSFET operating-point evaluations performed: one per MOSFET per
+    /// Newton iteration, which in a transient also yields its
+    /// capacitances.
     pub device_evals: u64,
     /// Always zero: nothing increments it, since the solver no longer
     /// bypasses device evaluations. Its only reader is the `vlsbench`
     /// benchmark; it goes when the benchmark stops reading it (ROADMAP
     /// item 3, step 1).
     pub device_bypasses: u64,
-    /// Meyer capacitance evaluations performed.
+    /// Standalone walks of the MOSFET model for Meyer capacitances,
+    /// outside any assembly: one per MOSFET at each transient restart (the DC or UIC start, a resume,
+    /// a breakpoint landing). Every other step takes its capacitances
+    /// from the previous step's last Newton assembly, whose walks
+    /// [`SolverStats::device_evals`] counts. `tests/newton_kernel.rs`
+    /// checks the rule on six cells.
     pub cap_evals: u64,
     /// Always zero, like [`SolverStats::device_bypasses`], and kept for
     /// the same reader.

@@ -4,8 +4,6 @@
 //! the two scales behind one type removes a whole class of off-by-273
 //! bugs from the characterization flows.
 
-use crate::{BOLTZMANN, ELECTRON_CHARGE};
-
 /// An absolute temperature, stored internally in kelvin.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Temperature(f64);
@@ -28,16 +26,6 @@ impl Temperature {
         Self(kelvin)
     }
 
-    /// Creates a temperature from kelvin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kelvin` is negative.
-    pub fn from_kelvin(kelvin: f64) -> Self {
-        assert!(kelvin >= 0.0, "temperature below absolute zero: {kelvin} K");
-        Self(kelvin)
-    }
-
     /// Returns the temperature in kelvin.
     pub const fn as_kelvin(self) -> f64 {
         self.0
@@ -46,14 +34,6 @@ impl Temperature {
     /// Returns the temperature in degrees Celsius.
     pub fn as_celsius(self) -> f64 {
         self.0 - 273.15
-    }
-
-    /// The thermal voltage kT/q at this temperature, in volts.
-    ///
-    /// ≈ 25.9 mV at 27 °C; every subthreshold slope in the device models
-    /// is expressed in multiples of this.
-    pub fn thermal_voltage(self) -> f64 {
-        BOLTZMANN * self.0 / ELECTRON_CHARGE
     }
 }
 
@@ -78,17 +58,7 @@ mod tests {
         let t = Temperature::from_celsius(27.0);
         assert!((t.as_kelvin() - 300.15).abs() < 1e-12);
         assert!((t.as_celsius() - 27.0).abs() < 1e-12);
-        assert_eq!(Temperature::from_kelvin(300.15), t);
         assert_eq!(Temperature::default(), Temperature::ROOM);
-    }
-
-    #[test]
-    fn thermal_voltage_scales_linearly() {
-        let t27 = Temperature::from_celsius(27.0);
-        let t90 = Temperature::from_celsius(90.0);
-        assert!((t27.thermal_voltage() - 0.02587).abs() < 1e-4);
-        let ratio = t90.thermal_voltage() / t27.thermal_voltage();
-        assert!((ratio - 363.15 / 300.15).abs() < 1e-12);
     }
 
     #[test]

@@ -52,9 +52,11 @@ cargo test -q --test charlib_surrogate --test charlib_golden --test charlib_arti
 
 # The Newton-kernel leg: the equivalence suite (retry rung 2 against
 # the default, sparse against dense, the structure-reuse counter
-# invariants) must hold on one worker and at default parallelism (the
-# kernel is pure per-circuit state, so sharding must not change a
-# single bit).
+# invariants, and the six-cell counter rule that a transient walks each
+# MOSFET once per Newton iteration and makes a standalone capacitance
+# walk only at its start and at each breakpoint landing) must hold on
+# one worker and at default parallelism (the kernel is pure per-circuit
+# state, so sharding must not change a single bit).
 echo "==> cargo test (newton kernel equivalence, VLS_JOBS=1 and default jobs)"
 VLS_JOBS=1 cargo test -q --test newton_kernel
 cargo test -q --test newton_kernel

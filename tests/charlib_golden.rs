@@ -29,108 +29,108 @@ const GOLDEN: [(f64, f64, [f64; 6]); 9] = [
         0.8,
         0.8,
         [
-            2.02425350060211986e-10,
-            7.58300937900347813e-11,
-            2.40133883618972907e-6,
-            1.94487860178855463e-6,
-            3.79595717558163114e-10,
-            3.26758983457015588e-10,
+            2.02425377818229439e-10,
+            7.58301096557030372e-11,
+            2.40134198257683899e-6,
+            1.94487847825525747e-6,
+            3.79595717506667864e-10,
+            3.26760226054417297e-10,
         ],
     ),
     (
         0.8,
         1.0,
         [
-            1.65311611873805683e-10,
-            9.04004673730781122e-11,
-            3.47114296333551292e-6,
-            2.46922794617242155e-6,
-            6.19106066823988870e-10,
-            1.61279363904988034e-9,
+            1.65311438692357655e-10,
+            9.04004718052607268e-11,
+            3.47114334268086837e-6,
+            2.46923763957776399e-6,
+            6.19106066830405517e-10,
+            1.61279363651274701e-9,
         ],
     ),
     (
         0.8,
         1.2,
         [
-            1.83311926810211621e-10,
-            1.23415405452053871e-10,
-            5.31282614811197327e-6,
-            4.25593052877211455e-6,
-            1.01175149381543568e-9,
-            2.66647403847661290e-9,
+            1.83311945037913969e-10,
+            1.23415002169159181e-10,
+            5.31283013381156696e-6,
+            4.25592147706200966e-6,
+            1.01175149388154871e-9,
+            2.66647402541122564e-9,
         ],
     ),
     (
         1.0,
         0.8,
         [
-            1.51939480232083258e-10,
-            4.28984366626066486e-11,
-            2.79862576848753021e-6,
-            2.68118740431963413e-6,
-            3.79598306050130665e-10,
-            4.33684929805244239e-10,
+            1.51939410955071682e-10,
+            4.28985083462108813e-11,
+            2.79862670453218918e-6,
+            2.68119518441016570e-6,
+            3.79598306113379221e-10,
+            4.33686172886847390e-10,
         ],
     ),
     (
         1.0,
         1.0,
         [
-            1.12185385678185759e-10,
-            4.94678377078185504e-11,
-            3.79402133166750219e-6,
-            3.13555516269416243e-6,
-            6.19109745657969389e-10,
-            4.30551034777166731e-10,
+            1.12185220274025507e-10,
+            4.94678416694809802e-11,
+            3.79402704651860616e-6,
+            3.13556078410897136e-6,
+            6.19109745526384393e-10,
+            4.30551803094288576e-10,
         ],
     ),
     (
         1.0,
         1.2,
         [
-            9.55270292563900489e-11,
-            5.86040115343191829e-11,
-            5.11739786438602785e-6,
-            3.92068028466233451e-6,
-            1.01175633892133814e-9,
-            2.48125768942802158e-9,
+            9.55268880195091504e-11,
+            5.86039985213222357e-11,
+            5.11740995639550216e-6,
+            3.92067735374925815e-6,
+            1.01175633894154864e-9,
+            2.48125767621197951e-9,
         ],
     ),
     (
         1.2,
         0.8,
         [
-            1.15193794931927525e-10,
-            2.83618599730642145e-11,
-            3.30709120686633824e-6,
-            3.61195402786094768e-6,
-            3.79606314711109466e-10,
-            9.67409699614287727e-10,
+            1.15193588529711648e-10,
+            2.83619078023710767e-11,
+            3.30709622530811907e-6,
+            3.61196118666166394e-6,
+            3.79606314749447219e-10,
+            9.67409698365589730e-10,
         ],
     ),
     (
         1.2,
         1.0,
         [
-            9.44469633350779986e-11,
-            3.27736967981526167e-11,
-            4.30962107443666179e-6,
-            4.08234667836064460e-6,
-            6.19117535832024694e-10,
-            4.69028348957110819e-10,
+            9.44471587486957467e-11,
+            3.27737102294845781e-11,
+            4.30963370134261420e-6,
+            4.08235635045715335e-6,
+            6.19117535632636116e-10,
+            4.69029209189207468e-10,
         ],
     ),
     (
         1.2,
         1.2,
         [
-            7.79422578573470060e-11,
-            3.71130052942158763e-11,
-            5.58377787495932644e-6,
-            4.70006715335666087e-6,
-            1.01176848241228962e-9,
-            5.08023809084935256e-10,
+            7.79420492624341433e-11,
+            3.71129854799248657e-11,
+            5.58378281243986985e-6,
+            4.70006763192446034e-6,
+            1.01176848240331223e-9,
+            5.08024221407071704e-10,
         ],
     ),
 ];

@@ -43,33 +43,33 @@ fn golden_64_run_mc_at_27c() {
     assert_pinned(
         "delay_rise.mean",
         s.delay_rise.mean,
-        1.86332356045858642e-10,
+        1.86332533150737950e-10,
     );
-    assert_pinned("delay_rise.std", s.delay_rise.std, 1.26939174156372774e-11);
+    assert_pinned("delay_rise.std", s.delay_rise.std, 1.26938896789542004e-11);
     assert_pinned(
         "delay_fall.mean",
         s.delay_fall.mean,
-        1.24873391188958816e-10,
+        1.24873108564419158e-10,
     );
-    assert_pinned("delay_fall.std", s.delay_fall.std, 4.92004484033433242e-12);
+    assert_pinned("delay_fall.std", s.delay_fall.std, 4.92002644524900572e-12);
     assert_pinned(
         "leakage_high.mean",
         s.leakage_high.mean,
-        1.10494775105530286e-9,
+        1.10494775103327049e-9,
     );
     assert_pinned(
         "leakage_high.std",
         s.leakage_high.std,
-        2.51197229234857041e-10,
+        2.51197229244468673e-10,
     );
     assert_pinned(
         "leakage_low.mean",
         s.leakage_low.mean,
-        2.87246672379322651e-9,
+        2.87246671248226038e-9,
     );
     assert_pinned(
         "leakage_low.std",
         s.leakage_low.std,
-        9.72887632263253555e-10,
+        9.72887632120548149e-10,
     );
 }

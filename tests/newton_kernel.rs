@@ -85,6 +85,30 @@ fn run(circuit: &Circuit, options: &SimOptions) -> TransientResult {
     run_transient(circuit, TSTOP, options).expect("transient failed")
 }
 
+/// The source breakpoints before the end of `res`, a transient of
+/// `circuit`, each of which the run landed on (every one is a stored
+/// sample): the stepper's restarts after its start.
+fn breakpoint_landings(circuit: &Circuit, res: &TransientResult) -> u64 {
+    let tstop = *res.times().last().expect("a nonempty run");
+    let mut corners: Vec<f64> = circuit
+        .elements()
+        .iter()
+        .flat_map(|e| match e {
+            Element::VoltageSource { wave, .. } | Element::CurrentSource { wave, .. } => {
+                wave.breakpoints(tstop)
+            }
+            _ => Vec::new(),
+        })
+        .filter(|&t| t > 0.0 && t < tstop)
+        .collect();
+    corners.sort_by(f64::total_cmp);
+    corners.dedup_by(|a, b| (*a - *b).abs() < 1e-18);
+    for &t in &corners {
+        assert!(res.state_at(t).is_some(), "no sample at the corner {t:e}");
+    }
+    corners.len() as u64
+}
+
 /// Worst absolute deviation between two same-length transients on a
 /// probe node; panics if the accepted-step sequences differ.
 fn worst_deviation(a: &TransientResult, b: &TransientResult, probe: sstvs::netlist::NodeId) -> f64 {
@@ -127,9 +151,10 @@ fn strict_pivoting_matches_the_default_on_all_six_cells() {
         // on node voltages, so the corrector needs 1.29-1.43 iterations
         // per accepted step (1.77-2.05 from the linear predictor with
         // branch currents tested at once, 2.5-2.9 from the last accepted
-        // point), and no step is rejected. Every iteration evaluates
-        // every MOSFET and every accepted step refreshes every MOSFET's
-        // capacitances.
+        // point), and no step is rejected. Every iteration walks every
+        // MOSFET once, for its stamp and its capacitances together; the
+        // stepper makes a standalone capacitance walk of each only at a
+        // restart, the DC start or a breakpoint landing.
         let stats = default.solver_stats();
         let steps = (default.len() - 1) as u64;
         assert_eq!(stats.tran_steps, steps, "{label}");
@@ -140,9 +165,11 @@ fn strict_pivoting_matches_the_default_on_all_six_cells() {
             "{label}: {}",
             stats.render()
         );
+        let landings = breakpoint_landings(&h.circuit, &default);
+        assert!(landings > 0, "{label}: the stimulus has input corners");
         assert_eq!(
             stats.cap_evals,
-            mosfets * stats.tran_steps,
+            mosfets * (1 + landings),
             "{label}: {}",
             stats.render()
         );
