@@ -363,6 +363,7 @@ mod tests {
         let unrevised = fnv1a64(descriptor(&kind, &base, &grid).as_bytes());
         let revision_2 = hash_at_revision(&kind, &base, &grid, 2);
         let revision_3 = hash_at_revision(&kind, &base, &grid, 3);
+        let revision_4 = hash_at_revision(&kind, &base, &grid, 4);
         let current = content_hash(&kind, &base, &grid);
         let artifact = |hash| {
             CharLib::from_parts(
@@ -374,7 +375,7 @@ mod tests {
             )
             .to_json()
         };
-        for old in [unrevised, revision_2, revision_3] {
+        for old in [unrevised, revision_2, revision_3, revision_4] {
             assert_ne!(old, current);
             let err = CharLib::load_json(&artifact(old), &kind, &base).unwrap_err();
             assert!(

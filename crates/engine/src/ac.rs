@@ -1,15 +1,21 @@
 //! AC small-signal analysis.
 //!
 //! Linearizes every device at the DC operating point (the same
-//! conductance stamps the Newton iteration uses, plus the Meyer
-//! capacitances), replaces the named source with a unit phasor, and
-//! solves the complex system `(G + jωC)·x = b` at each requested
-//! frequency. This is the analysis behind gain/bandwidth measurements
-//! of the level-shifter cells and their feedback loops.
+//! conductance stamps the Newton iteration uses), replaces the named
+//! source with a unit phasor, and solves the complex system
+//! `(G + jωC)·x = b` at each requested frequency. `C` is the transient's
+//! capacitive network (`capnet::CapNetwork`) with the Meyer
+//! capacitances at the operating point: one branch per pair of distinct
+//! nodes, each stamping its admittance `jωC`. The unit test
+//! `capnet::tests::network_stamps_what_each_capacitor_stamped` checks
+//! those admittances against one stamp per capacitor. This is the
+//! analysis behind gain/bandwidth measurements of the level-shifter
+//! cells and their feedback loops.
 
 use vls_netlist::{Circuit, Element, NodeId};
 use vls_num::{Complex, ComplexMatrix, TripletMatrix};
 
+use crate::capnet::CapNetwork;
 use crate::mna::{Mna, StampCtx};
 use crate::{solve_dc, EngineError, SimOptions};
 
@@ -146,31 +152,13 @@ pub fn run_ac(
     mna.assemble(x, &mut g_trip, &mut b_unused, &ctx, None);
     let g = g_trip.to_csc();
 
-    // Capacitance stamps: explicit caps plus Meyer caps at the op, in
-    // element order.
-    let mut caps: Vec<(Option<usize>, Option<usize>, f64)> = Vec::new();
-    let mut mosfets = mna.mosfets().iter();
-    for e in circuit.elements() {
-        match e {
-            Element::Capacitor {
-                a, b, capacitor, ..
-            } if capacitor.capacitance() > 0.0 => {
-                caps.push((mna.idx(*a), mna.idx(*b), capacitor.capacitance()));
-            }
-            Element::Mosfet { .. } => {
-                let m = mosfets.next().expect("one compiled MOSFET per element");
-                let bias = m.bias(x);
-                let mc = m.dev.caps(bias.vg, bias.vd, bias.vs, bias.vb);
-                let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
-                for ((na, nb), c) in m.cap_pairs().into_iter().zip(values) {
-                    if c > 0.0 {
-                        caps.push((na, nb, c));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
+    // The capacitive network at the operating point: the explicit
+    // capacitors and every MOSFET's Meyer capacitances there.
+    let mut network = CapNetwork::new(circuit, &mna);
+    network.set_caps(mna.mosfets().iter().map(|m| {
+        let bias = m.bias(x);
+        m.dev.caps(bias.vg, bias.vd, bias.vs, bias.vb)
+    }));
 
     // Excitation vector.
     let mut b = vec![Complex::ZERO; n];
@@ -202,24 +190,7 @@ pub fn run_ac(
                 a.add(g.row_indices()[k], j, Complex::from_real(g.values()[k]));
             }
         }
-        let mut stamp_jwc = |na: Option<usize>, nb: Option<usize>, c: f64| {
-            let y = Complex::new(0.0, omega * c);
-            if let Some(i) = na {
-                a.add(i, i, y);
-                if let Some(j) = nb {
-                    a.add(i, j, -y);
-                }
-            }
-            if let Some(j) = nb {
-                a.add(j, j, y);
-                if let Some(i) = na {
-                    a.add(j, i, -y);
-                }
-            }
-        };
-        for &(na, nb, c) in &caps {
-            stamp_jwc(na, nb, c);
-        }
+        network.stamp_admittances(omega, &mut a);
         let x = a.solve(&b).map_err(|_| EngineError::Singular {
             context: format!("AC at {f:.3e} Hz"),
         })?;

@@ -416,19 +416,20 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use vls_device::SourceWaveform;
     use vls_netlist::chipgen::{generate_chip, spec_for_unknowns, ChipSpec};
     use vls_netlist::Circuit;
 
     use super::*;
+    use crate::capnet::tests::meyer_at;
+    use crate::capnet::CapNetwork;
     use crate::tran::tests::pwl_inverter;
-    use crate::tran::{dynamic_caps, DynamicCap};
     use crate::{run_transient, solve_dc};
 
     /// A flattened chipgen floorplan of `instances` units on three
     /// islands: sparse by size from 20 units up.
-    fn chip(instances: usize) -> Circuit {
+    pub(crate) fn chip(instances: usize) -> Circuit {
         generate_chip(&ChipSpec {
             instances,
             islands: 3,
@@ -437,33 +438,22 @@ mod tests {
         .flatten()
     }
 
-    /// Sets every MOSFET's five Meyer capacitances in `caps` (laid out
-    /// as [`dynamic_caps`] returns them) to their values at `x`.
-    fn set_meyer_caps(mna: &Mna<'_>, mos_caps: &[usize], caps: &mut [DynamicCap], x: &[f64]) {
-        for (m, &base) in mna.mosfets().iter().zip(mos_caps) {
-            let bias = m.bias(x);
-            let mc = m.dev.caps(bias.vg, bias.vd, bias.vs, bias.vb);
-            DynamicCap::set_meyer(&mut caps[base..base + 5], &mc);
-        }
-    }
-
     /// Checks the kernel's DC and transient assemblies against a
     /// from-scratch `Mna::assemble` into a fresh triplet matrix,
     /// compressed and brought into the kernel's order, at every stored
     /// sample of a dense-path transient of `circuit` (the dense path
-    /// never scatters). The transient companions are backward-Euler
-    /// steps between consecutive samples, with the Meyer capacitances at
-    /// the later one. Values compare as floats: every nonzero value bit
-    /// for bit, and a slot whose every stamp is `-0.0` reads `+0.0` from
-    /// the scatter, which starts each slot at `+0.0`. Returns the
-    /// sample count.
+    /// never scatters). The transient companions are the capacitive
+    /// network's backward-Euler steps between consecutive samples, with
+    /// the Meyer capacitances at the later one. Values compare as
+    /// floats: every nonzero value bit for bit, and a slot whose every
+    /// stamp is `-0.0` reads `+0.0` from the scatter, which starts each
+    /// slot at `+0.0`. Returns the sample count.
     fn check_assembly(circuit: &Circuit, options: &SimOptions, tstop: f64, ordered: bool) -> usize {
         let mna = Mna::new(circuit, options.temperature.as_kelvin());
-        let (mut caps, mos_caps) = dynamic_caps(circuit, &mna);
-        let probe: Vec<CompanionCap> = caps.iter().map(|c| c.companion(1.0, 1.0)).collect();
+        let mut network = CapNetwork::new(circuit, &mna);
         let mut kernels = [
             NewtonKernel::new(&mna, options, None),
-            NewtonKernel::new(&mna, options, Some(&probe)),
+            NewtonKernel::new(&mna, options, Some(network.companions(1.0, 1.0))),
         ];
         for k in &kernels {
             let path_ordered = match k.path {
@@ -486,16 +476,9 @@ mod tests {
             } else {
                 t - times[s - 1]
             };
-            set_meyer_caps(&mna, &mos_caps, &mut caps, x);
-            let volt = |i: Option<usize>| i.map_or(0.0, |i| x[i]);
-            let companions: Vec<CompanionCap> = caps
-                .iter_mut()
-                .map(|cap| {
-                    let comp = cap.companion(1.0, h);
-                    cap.v_prev = volt(cap.a) - volt(cap.b);
-                    comp
-                })
-                .collect();
+            network.set_caps(meyer_at(&mna, x));
+            let companions = network.companions(1.0, h).to_vec();
+            network.advance(x);
             for (k, reactive) in kernels.iter_mut().zip([None, Some(&companions[..])]) {
                 let ctx = StampCtx {
                     time: t,
@@ -574,14 +557,13 @@ mod tests {
         let mna = Mna::new(&c, options.temperature.as_kelvin());
         let (n, nvu) = (mna.n_unknowns, mna.node_unknowns());
         assert!(n > nvu, "the circuit has branch currents");
-        let (mut caps, mos_caps) = dynamic_caps(&c, &mna);
+        let mut network = CapNetwork::new(&c, &mna);
         let res = run_transient(&c, 2.5e-9, &options).expect("transient converges");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for &t in res.times() {
             let (_, x) = res.state_at(t).expect("a stored sample");
-            set_meyer_caps(&mna, &mos_caps, &mut caps, x);
-            let companions: Vec<CompanionCap> =
-                caps.iter().map(|cap| cap.companion(1.0, 1e-12)).collect();
+            network.set_caps(meyer_at(&mna, x));
+            let companions = network.companions(1.0, 1e-12).to_vec();
             let mut skewed = x.to_vec();
             for (k, i) in skewed[nvu..].iter_mut().enumerate() {
                 *i = -3.0 * *i + 1e3 * (k + 1) as f64;
@@ -632,10 +614,9 @@ mod tests {
         let x = dc.unknowns();
         let mna = Mna::new(&chip, options.temperature.as_kelvin());
         assert_eq!(mna.n_unknowns, 156);
-        let (mut caps, mos_caps) = dynamic_caps(&chip, &mna);
-        set_meyer_caps(&mna, &mos_caps, &mut caps, x);
-        let companions: Vec<CompanionCap> =
-            caps.iter().map(|cap| cap.companion(1.0, 1e-12)).collect();
+        let mut network = CapNetwork::new(&chip, &mna);
+        network.set_caps(meyer_at(&mna, x));
+        let companions = network.companions(1.0, 1e-12).to_vec();
         let ctx = StampCtx {
             time: 0.0,
             source_scale: 1.0,

@@ -36,6 +36,7 @@
 //! ```
 
 mod ac;
+mod capnet;
 mod dc;
 mod kernel;
 mod mna;

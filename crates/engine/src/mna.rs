@@ -44,7 +44,7 @@ impl MatrixSink for TripletMatrix {
     }
 }
 
-/// A linearized capacitor for one transient step:
+/// A linearized capacitive branch for one transient step:
 /// `i(t_new) = geq·v(t_new) − ieq` across nodes `a` → `b`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CompanionCap {

@@ -1,10 +1,17 @@
 //! Transient analysis: trapezoidal/backward-Euler companion integration
 //! with local-truncation-error step control and source breakpoints.
 //!
-//! Reactive elements (explicit capacitors and the Meyer capacitances of
-//! every MOSFET) are replaced at each time step by companion models
-//! `i = geq·v − ieq`; the resulting resistive network is solved by the
-//! same damped Newton iteration as the DC analysis.
+//! The circuit's capacitances (explicit capacitors and the Meyer
+//! capacitances of every MOSFET) form one capacitive network
+//! (`capnet::CapNetwork`) with a branch per pair of distinct nodes. Each
+//! step sets the branches' capacitances once and replaces every branch
+//! by its companion model `i = geq·v − ieq` at each attempt; the
+//! resulting resistive network is solved by the same damped Newton
+//! iteration as the DC analysis. On the SS-TVS measurement harness that
+//! is 35 companions per Newton iteration where one per capacitor slot
+//! was 86; the unit test
+//! `capnet::tests::network_stamps_what_each_capacitor_stamped` checks the
+//! merged assembly against the per-capacitor one.
 //!
 //! Each transient Newton iteration walks every MOSFET's model once, for
 //! its stamp and its capacitances together (`BoundMos::op_caps`, whose
@@ -56,14 +63,14 @@
 
 use std::collections::VecDeque;
 
-use vls_device::MosCaps;
 use vls_fault::FaultSession;
 use vls_netlist::{Circuit, Element, NodeId};
 use vls_num::SolverStats;
 
+use crate::capnet::CapNetwork;
 use crate::dc::{solve_dc_at, DcSolution};
 use crate::kernel::NewtonKernel;
-use crate::mna::{CompanionCap, Mna, StampCtx};
+use crate::mna::{Mna, StampCtx};
 use crate::{EngineError, SimOptions};
 
 /// The sampled result of a transient run.
@@ -150,7 +157,7 @@ impl TransientResult {
 
 /// Integration damping: θ = 0.5 is plain trapezoid, 1.0 is backward
 /// Euler. 0.55 decays plateau ringing while staying near second order.
-const THETA: f64 = 0.55;
+pub(crate) const THETA: f64 = 0.55;
 
 /// How close a step end must come to a breakpoint to count as landing
 /// on it, s.
@@ -211,89 +218,6 @@ fn newton_start(x: &[f64], past: &VecDeque<(Vec<f64>, f64)>, h: f64, out: &mut [
             *o += wj * pi;
         }
     }
-}
-
-/// One dynamic (capacitive) branch tracked across steps.
-pub(crate) struct DynamicCap {
-    pub(crate) a: Option<usize>,
-    pub(crate) b: Option<usize>,
-    /// Capacitance for the current step, F.
-    pub(crate) c: f64,
-    /// Branch voltage at the previous accepted time point.
-    pub(crate) v_prev: f64,
-    /// Branch current at the previous accepted time point (trapezoidal
-    /// history).
-    i_prev: f64,
-}
-
-impl DynamicCap {
-    /// Sets the five Meyer slots of one MOSFET (`slots`, in the order
-    /// [`dynamic_caps`] lays them out) to `mc`.
-    pub(crate) fn set_meyer(slots: &mut [DynamicCap], mc: &MosCaps) {
-        let values = [mc.cgs, mc.cgd, mc.cgb, mc.cdb, mc.csb];
-        for (cap, c) in slots.iter_mut().zip(values) {
-            cap.c = c;
-        }
-    }
-
-    /// The companion model for a step of `h` at damping `theta`. A
-    /// zero-capacitance slot stamps a zero placeholder, so the stamp
-    /// pattern never changes between steps.
-    pub(crate) fn companion(&self, theta: f64, h: f64) -> CompanionCap {
-        let (geq, ieq) = if self.c <= 0.0 {
-            (0.0, 0.0)
-        } else {
-            let geq = self.c / (theta * h);
-            (geq, geq * self.v_prev + (1.0 - theta) / theta * self.i_prev)
-        };
-        CompanionCap {
-            a: self.a,
-            b: self.b,
-            geq,
-            ieq,
-        }
-    }
-}
-
-/// The dynamic branches of `circuit`: explicit capacitors and the five
-/// Meyer capacitances of every MOSFET, in element order, with the index
-/// of each MOSFET's first slot (gs, gd, gb, db, sb follow it). Every
-/// branch starts uncharged at zero capacitance except the explicit
-/// capacitors, which carry theirs.
-pub(crate) fn dynamic_caps(circuit: &Circuit, mna: &Mna<'_>) -> (Vec<DynamicCap>, Vec<usize>) {
-    let mut caps: Vec<DynamicCap> = Vec::new();
-    let mut mos_caps: Vec<usize> = Vec::with_capacity(mna.mosfets().len());
-    let mut mosfets = mna.mosfets().iter();
-    for e in circuit.elements() {
-        match e {
-            Element::Capacitor {
-                a, b, capacitor, ..
-            } if capacitor.capacitance() > 0.0 => {
-                caps.push(DynamicCap {
-                    a: mna.idx(*a),
-                    b: mna.idx(*b),
-                    c: capacitor.capacitance(),
-                    v_prev: 0.0,
-                    i_prev: 0.0,
-                });
-            }
-            Element::Mosfet { .. } => {
-                let m = mosfets.next().expect("one compiled MOSFET per element");
-                mos_caps.push(caps.len());
-                for (a, b) in m.cap_pairs() {
-                    caps.push(DynamicCap {
-                        a,
-                        b,
-                        c: 0.0,
-                        v_prev: 0.0,
-                        i_prev: 0.0,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    (caps, mos_caps)
 }
 
 /// Runs a transient analysis from `t = 0` to `tstop`.
@@ -432,20 +356,16 @@ fn transient_from_state(
     let mna = Mna::new(circuit, options.temperature.as_kelvin());
     let mut x = initial;
 
-    let (mut caps, mos_caps) = dynamic_caps(circuit, &mna);
-    let volt_of = |x: &[f64], n: Option<usize>| n.map_or(0.0, |i| x[i]);
-    // Initialize branch voltages from the DC point.
-    for cap in caps.iter_mut() {
-        cap.v_prev = volt_of(&x, cap.a) - volt_of(&x, cap.b);
-    }
+    // The capacitive network, its branch voltages from the start point.
+    let mut network = CapNetwork::new(circuit, &mna);
+    network.start_at(&x);
 
     // One symbolic kernel for the whole run: the transient stamp
-    // pattern (including every companion branch — zero-cap slots are
-    // stamped as placeholders, so the pattern never changes between
+    // pattern (including every branch's companion — a zero-capacitance
+    // branch stamps a placeholder, so the pattern never changes between
     // steps) is analyzed once, and the LU storage and workspaces
     // persist across all time steps.
-    let probe: Vec<CompanionCap> = caps.iter().map(|cap| cap.companion(1.0, 1.0)).collect();
-    let mut kernel = NewtonKernel::new(&mna, options, Some(&probe));
+    let mut kernel = NewtonKernel::new(&mna, options, Some(network.companions(1.0, 1.0)));
 
     // --- breakpoints -------------------------------------------------
     let mut breakpoints: Vec<f64> = Vec::new();
@@ -479,8 +399,6 @@ fn transient_from_state(
     let mut start = vec![0.0; x.len()];
     let mut rejected_steps: u64 = 0;
 
-    let mut companions: Vec<CompanionCap> = Vec::with_capacity(caps.len());
-
     while t < tstop - BREAKPOINT_TOL {
         // The Meyer capacitances of this step's companions: at a restart
         // (no accepted point kept), a standalone capacitance walk at the
@@ -489,14 +407,13 @@ fn transient_from_state(
         // otherwise what the accepted step's last assembly recorded (the
         // six-cell counter rule in `tests/newton_kernel.rs` counts both).
         if past.is_empty() {
-            for (m, &base) in mna.mosfets().iter().zip(&mos_caps) {
-                let mc = kernel.eval_caps(&m.dev, m.bias(&x));
-                DynamicCap::set_meyer(&mut caps[base..base + 5], &mc);
-            }
+            network.set_caps(
+                mna.mosfets()
+                    .iter()
+                    .map(|m| kernel.eval_caps(&m.dev, m.bias(&x))),
+            );
         } else {
-            for (mc, &base) in kernel.recorded_caps().iter().zip(&mos_caps) {
-                DynamicCap::set_meyer(&mut caps[base..base + 5], mc);
-            }
+            network.set_caps(kernel.recorded_caps().iter().copied());
         }
 
         // Clamp the step to the next breakpoint.
@@ -542,15 +459,11 @@ fn transient_from_state(
             } else {
                 1.0
             };
-            // Build companion models (full-length, zero-cap slots are
-            // placeholders so state updates stay index-aligned).
-            companions.clear();
-            companions.extend(caps.iter().map(|cap| cap.companion(theta, h_now)));
             let ctx = StampCtx {
                 time: t + h_now,
                 source_scale: 1.0,
                 gmin: options.gmin,
-                reactive: Some(&companions),
+                reactive: Some(network.companions(theta, h_now)),
             };
             // The LTE test below measures the converged point against
             // the linear predictor. Newton starts from the extrapolation
@@ -602,15 +515,7 @@ fn transient_from_state(
         };
         let (x_new, err_ratio) = accepted.expect("loop breaks with Some or returns");
 
-        // Update dynamic-branch state via the companion identity
-        // i_new = geq·v_new − ieq.
-        for (cap, comp) in caps.iter_mut().zip(&companions) {
-            let v_new = volt_of(&x_new, cap.a) - volt_of(&x_new, cap.b);
-            if cap.c > 0.0 {
-                cap.i_prev = comp.geq * v_new - comp.ieq;
-            }
-            cap.v_prev = v_new;
-        }
+        network.advance(&x_new);
 
         t += h_now;
         past.truncate(START_POINTS - 2);

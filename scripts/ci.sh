@@ -54,7 +54,10 @@ cargo test -q --test charlib_surrogate --test charlib_golden --test charlib_arti
 # the default, sparse against dense, the structure-reuse counter
 # invariants, and the six-cell counter rule that a transient walks each
 # MOSFET once per Newton iteration and makes a standalone capacitance
-# walk only at its start and at each breakpoint landing) must hold on
+# walk only at its start and at each breakpoint landing; the companions
+# come from the capacitive network, one branch per node pair, which
+# the vls-engine unit test network_stamps_what_each_capacitor_stamped
+# checks against one companion per capacitor) must hold on
 # one worker and at default parallelism (the kernel is pure per-circuit
 # state, so sharding must not change a single bit).
 echo "==> cargo test (newton kernel equivalence, VLS_JOBS=1 and default jobs)"

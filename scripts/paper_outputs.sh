@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Writes every paper table, figure and study this repository
-# regenerates, plus a smoke characterization artifact, into <out_dir>:
-# one file per output. The outputs are deterministic (serial runner
+# regenerates, a smoke characterization artifact and the stdout of each
+# root example, into <out_dir>: one file per output. The outputs are deterministic (serial runner
 # where a run shards), so two commits that should compute the same
 # answers can be compared byte for byte:
 #
@@ -22,6 +22,7 @@ mkdir -p "$1"
 out="$(cd "$1" && pwd)"
 
 cargo build --release -q -p vls-bench -p vls-cli
+cargo build --release -q -p sstvs --examples
 bin="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)"
 
 run() {
@@ -52,3 +53,13 @@ echo "==> characterize --smoke" >&2
 rm -f "$out/charlib_smoke.json"
 (cd "$out" && "$bin/vls-spice" characterize --smoke --out charlib_smoke.json \
     > characterize_smoke.txt)
+
+# The six root examples, one file each. They cover what the tables do
+# not: `frequency_response` runs the AC analysis on a MOSFET stage with
+# its Meyer capacitances, and `spice_deck` the deck path. VLS_JOBS=1
+# fixes the worker count `monte_carlo_yield` prints.
+for ex in dvs_domain_crossing frequency_response monte_carlo_yield \
+    multi_voltage_soc quickstart spice_deck; do
+    echo "==> example $ex" >&2
+    VLS_JOBS=1 "$bin/examples/$ex" > "$out/example_$ex.txt"
+done

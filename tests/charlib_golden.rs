@@ -30,11 +30,11 @@ const GOLDEN: [(f64, f64, [f64; 6]); 9] = [
         0.8,
         [
             2.02425377818229439e-10,
-            7.58301096557030372e-11,
-            2.40134198257683899e-6,
-            1.94487847825525747e-6,
-            3.79595717506667864e-10,
-            3.26760226054417297e-10,
+            7.58301096557063459e-11,
+            2.40134198257667932e-6,
+            1.94487847825535065e-6,
+            3.79595717064986400e-10,
+            3.26760226056053305e-10,
         ],
     ),
     (
@@ -43,94 +43,94 @@ const GOLDEN: [(f64, f64, [f64; 6]); 9] = [
         [
             1.65311438692357655e-10,
             9.04004718052607268e-11,
-            3.47114334268086837e-6,
-            2.46923763957776399e-6,
-            6.19106066830405517e-10,
-            1.61279363651274701e-9,
+            3.47114334268141598e-6,
+            2.46923763957782710e-6,
+            6.19106066442233437e-10,
+            1.61279363653355515e-9,
         ],
     ),
     (
         0.8,
         1.2,
         [
-            1.83311945037913969e-10,
-            1.23415002169159181e-10,
-            5.31283013381156696e-6,
-            4.25592147706200966e-6,
-            1.01175149388154871e-9,
-            2.66647402541122564e-9,
+            1.83311945037904042e-10,
+            1.23415002169155872e-10,
+            5.31283013381176262e-6,
+            4.25592147706183432e-6,
+            1.01175149386840316e-9,
+            2.66647402536698885e-9,
         ],
     ),
     (
         1.0,
         0.8,
         [
-            1.51939410955071682e-10,
+            1.51939410955051830e-10,
             4.28985083462108813e-11,
-            2.79862670453218918e-6,
-            2.68119518441016570e-6,
-            3.79598306113379221e-10,
-            4.33686172886847390e-10,
+            2.79862670453183639e-6,
+            2.68119518441021483e-6,
+            3.79598305955327753e-10,
+            4.33686172946811264e-10,
         ],
     ),
     (
         1.0,
         1.0,
         [
-            1.12185220274025507e-10,
-            4.94678416694809802e-11,
-            3.79402704651860616e-6,
-            3.13556078410897136e-6,
-            6.19109745526384393e-10,
-            4.30551803094288576e-10,
+            1.12185220274032125e-10,
+            4.94678416694743628e-11,
+            3.79402704651854052e-6,
+            3.13556078410879433e-6,
+            6.19109744754847806e-10,
+            4.30551803104674449e-10,
         ],
     ),
     (
         1.0,
         1.2,
         [
-            9.55268880195091504e-11,
+            9.55268880195025330e-11,
             5.86039985213222357e-11,
-            5.11740995639550216e-6,
-            3.92067735374925815e-6,
-            1.01175633894154864e-9,
-            2.48125767621197951e-9,
+            5.11740995639576982e-6,
+            3.92067735374940468e-6,
+            1.01175633811837076e-9,
+            2.48125767624207730e-9,
         ],
     ),
     (
         1.2,
         0.8,
         [
-            1.15193588529711648e-10,
-            2.83619078023710767e-11,
-            3.30709622530811907e-6,
-            3.61196118666166394e-6,
-            3.79606314749447219e-10,
-            9.67409698365589730e-10,
+            1.15193588529701722e-10,
+            2.83619078023776941e-11,
+            3.30709622530798142e-6,
+            3.61196118666182487e-6,
+            3.79606314624182089e-10,
+            9.67409698410899168e-10,
         ],
     ),
     (
         1.2,
         1.0,
         [
-            9.44471587486957467e-11,
-            3.27737102294845781e-11,
-            4.30963370134261420e-6,
-            4.08235635045715335e-6,
-            6.19117535632636116e-10,
-            4.69029209189207468e-10,
+            9.44471587487023641e-11,
+            3.27737102294878868e-11,
+            4.30963370134234230e-6,
+            4.08235635045772001e-6,
+            6.19117535261729157e-10,
+            4.69029209187910862e-10,
         ],
     ),
     (
         1.2,
         1.2,
         [
-            7.79420492624341433e-11,
-            3.71129854799248657e-11,
-            5.58378281243986985e-6,
-            4.70006763192446034e-6,
-            1.01176848240331223e-9,
-            5.08024221407071704e-10,
+            7.79420492624242171e-11,
+            3.71129854799182483e-11,
+            5.58378281244061947e-6,
+            4.70006763192395890e-6,
+            1.01176848134573472e-9,
+            5.08024221364864813e-10,
         ],
     ),
 ];

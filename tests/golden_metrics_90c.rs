@@ -37,16 +37,16 @@ fn golden_nominal_characterization_at_90c() {
     .expect("nominal SS-TVS characterizes at 90 °C");
 
     assert!(m.functional);
-    assert_pinned("delay_rise", m.delay_rise.value(), 1.84850352222937825e-10);
-    assert_pinned("delay_fall", m.delay_fall.value(), 1.44096679652528768e-10);
-    assert_pinned("power_rise", m.power_rise.value(), 5.37233977744566044e-6);
-    assert_pinned("power_fall", m.power_fall.value(), 5.16941788725197980e-6);
+    assert_pinned("delay_rise", m.delay_rise.value(), 1.84850352222941134e-10);
+    assert_pinned("delay_fall", m.delay_fall.value(), 1.44096679652532077e-10);
+    assert_pinned("power_rise", m.power_rise.value(), 5.37233977744602212e-6);
+    assert_pinned("power_fall", m.power_fall.value(), 5.16941788725198657e-6);
     assert_pinned(
         "leakage_high",
         m.leakage_high.value(),
-        1.71205561883300655e-8,
+        1.71205561878186164e-8,
     );
-    assert_pinned("leakage_low", m.leakage_low.value(), 3.26772137992110358e-8);
+    assert_pinned("leakage_low", m.leakage_low.value(), 3.26772137991791067e-8);
 
     // The same work, counted exactly.
     assert_eq!(
@@ -86,38 +86,38 @@ fn golden_8_run_mc_at_90c() {
         (
             "delay_rise",
             s.delay_rise,
-            1.89203810473693604e-10,
-            1.08928036956791885e-11,
+            1.89203810473696499e-10,
+            1.08928036956768491e-11,
         ),
         (
             "delay_fall",
             s.delay_fall,
-            1.44944823057715407e-10,
-            8.05386930518538997e-12,
+            1.44944823057718716e-10,
+            8.05386930518336564e-12,
         ),
         (
             "power_rise",
             s.power_rise,
-            5.38808504793989210e-6,
-            8.85730964003041702e-8,
+            5.38808504793994716e-6,
+            8.85730964003098348e-8,
         ),
         (
             "power_fall",
             s.power_fall,
-            5.14184688209259009e-6,
-            8.14517279515948064e-8,
+            5.14184688209266887e-6,
+            8.14517279516425579e-8,
         ),
         (
             "leakage_high",
             s.leakage_high,
-            1.87423004370435994e-8,
-            3.95168133711404865e-9,
+            1.87423004370088876e-8,
+            3.95168133691260205e-9,
         ),
         (
             "leakage_low",
             s.leakage_low,
-            3.21090604765679462e-8,
-            7.82263163108107163e-9,
+            3.21090604765456653e-8,
+            7.82263163107769673e-9,
         ),
     ] {
         assert_pinned(&format!("{name}.mean"), stats.mean, mean);
