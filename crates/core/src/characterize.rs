@@ -64,11 +64,16 @@ use vls_waveform::{average, delay_between, is_settled, Edge, Waveform};
 use crate::CoreError;
 
 /// The revision of the measurement protocol's code (see the module
-/// docs). Revision 5 integrates the capacitances as one branch per node
-/// pair instead of one companion per capacitor, which changes only the
-/// floating-point order of the companion sums and moved measured numbers
-/// by up to 4e-13 relative on delays and powers and 9.1e-8 on leakages.
-/// Revision 4 takes each transient step's Meyer capacitances
+/// docs). Revision 6 factorizes every cell harness in minimum-degree
+/// order with numeric refactorization instead of a dense LU at every
+/// Newton iteration, which changes only the floating-point order of the
+/// elimination and moved measured numbers by up to 3.5e-13 relative on
+/// delays and powers and 1.2e-7 on leakages. Revision 5 integrates the
+/// capacitances as one branch per node pair instead of one companion
+/// per capacitor, which changes only the floating-point order of the
+/// companion sums and moved measured numbers by up to 4e-13 relative on
+/// delays and powers and 9.1e-8 on leakages. Revision 4 takes each
+/// transient step's Meyer capacitances
 /// from the previous step's last Newton assembly instead of a separate
 /// walk at the accepted point, which moved measured numbers by up to
 /// 2.4e-5 relative. Revision 3 starts each transient Newton solve from
@@ -77,7 +82,7 @@ use crate::CoreError;
 /// Revision 2 continues both leakage holds from the stimulus run, which
 /// moved leakages by up to 0.7 %; revision 1 is every protocol before
 /// it.
-pub const PROTOCOL_REVISION: u32 = 5;
+pub const PROTOCOL_REVISION: u32 = 6;
 
 /// Options for one characterization run.
 #[derive(Debug, Clone, PartialEq)]

@@ -12,14 +12,25 @@
 //!   no sort, no dedup, no allocation. The scattered values equal a
 //!   from-scratch [`Mna::assemble`] compressed with
 //!   [`TripletMatrix::to_csc`]; the unit tests below pin that.
+//! * **One linear path, two orders:** every circuit factorizes with
+//!   [`SparseLu`]. A circuit of at most [`SimOptions::sparse_threshold`]
+//!   unknowns (every cell harness) compiles in minimum-degree order;
+//!   above it [`SimOptions::structure`] chooses natural or
+//!   minimum-degree order. An identity minimum-degree order takes the
+//!   natural path, which then factorizes the same system.
 //! * **Numeric-only refactorization:** the pivot order found by the
-//!   first full factorization is replayed by [`SparseLu::refactorize`];
-//!   a pivot-health check at [`SimOptions::sparse_pivot_tol`] falls
-//!   back to a full re-pivoting factorization when values drift. At
+//!   first full factorization is kept by [`SparseLu::refactorize`],
+//!   which replays the recorded elimination on minimum-degree patterns
+//!   and natural-order DC ones, and eliminates in a dense workspace on
+//!   natural-order transient ones (the rule is in
+//!   [`SparseLu::replays`]; the unit test
+//!   `replay_rule_on_minimum_degree_and_natural_patterns` below pins it
+//!   on a cell and a floorplan). A pivot-health check at
+//!   [`SimOptions::sparse_pivot_tol`] falls back to a full re-pivoting
+//!   factorization when values drift. At
 //!   `1.0` (retry rung 2) the check trips whenever a frozen pivot is no
 //!   longer its column's largest candidate, so the kernel factorizes as
-//!   strict partial pivoting would. Dense circuits reuse the `n²`
-//!   factor storage through [`DenseMatrix::factorize_into`].
+//!   strict partial pivoting would.
 //! * **Reusable workspaces:** the iterate, right-hand side, solution
 //!   and delta vectors live in the kernel, so steady-state transient
 //!   stepping performs no per-iteration allocation.
@@ -32,8 +43,8 @@
 use vls_device::{BoundMos, MosBias, MosCaps};
 use vls_fault::FaultSession;
 use vls_num::{
-    invert_permutation, is_identity, weighted_converged, CscMatrix, DenseLu, DenseMatrix, NumError,
-    SolverStats, SparseLu, TripletMatrix,
+    invert_permutation, is_identity, weighted_converged, CscMatrix, NumError, SolverStats,
+    SparseLu, TripletMatrix,
 };
 
 use crate::dc::{singular_failure, NewtonFailure};
@@ -58,8 +69,8 @@ impl MatrixSink for PatternScatter<'_> {
     }
 }
 
-/// Shared factor step for the `Sparse` and `Ordered` paths: numeric
-/// replay on the frozen pivot sequence, falling back to a full
+/// Shared factor step for the `Natural` and `Ordered` paths: numeric
+/// refactorization on the frozen pivot sequence, falling back to a full
 /// re-pivoting factorization when pivot health degrades. The pivot
 /// fault hook only arms on an existing factorization — the first
 /// (full) factorization has no pivot sequence to drift.
@@ -102,18 +113,11 @@ fn factor_sparse(
     }
 }
 
-/// The factorization backend chosen at construction time from
+/// The factorization order chosen at construction time from
 /// `SimOptions::sparse_threshold` and, above it, `SimOptions::structure`.
-// One instance lives per kernel (per circuit), never in a collection,
-// so the variant size difference costs nothing.
-#[allow(clippy::large_enum_variant)]
 enum LinearPath {
-    Dense {
-        a: DenseMatrix,
-        lu: DenseLu,
-    },
-    /// Natural MNA order — bit-identical to the pre-structuring solver.
-    Sparse {
+    /// Natural MNA order.
+    Natural {
         pattern: CscMatrix,
         map: Vec<usize>,
         lu: Option<SparseLu>,
@@ -122,7 +126,7 @@ enum LinearPath {
     /// stamp map scatters straight into permuted slots, so per
     /// iteration only the right-hand side is permuted in and the
     /// solution permuted out. An identity permutation never reaches
-    /// this variant — construction falls back to `Sparse`, which is
+    /// this variant — construction falls back to `Natural`, which is
     /// then provably bit-identical.
     Ordered {
         pattern: CscMatrix,
@@ -164,69 +168,60 @@ pub(crate) struct NewtonKernel<'m, 'c> {
 }
 
 impl<'m, 'c> NewtonKernel<'m, 'c> {
-    /// Builds the kernel, running the symbolic phase when the circuit
-    /// is above the sparse threshold. `reactive_probe` must carry the
-    /// same companion-branch node pairs that later `solve` calls will
-    /// stamp (values are irrelevant — stamp positions depend only on
-    /// topology); pass `None` for DC.
+    /// Builds the kernel and runs the symbolic phase. `reactive_probe`
+    /// must carry the same companion-branch node pairs that later
+    /// `solve` calls will stamp (values are irrelevant — stamp
+    /// positions depend only on topology); pass `None` for DC.
     pub fn new(
         mna: &'m Mna<'c>,
         options: &SimOptions,
         reactive_probe: Option<&[CompanionCap]>,
     ) -> Self {
         let n = mna.n_unknowns;
-        let path = if n > options.sparse_threshold {
-            // Record the stamp sequence once. Positions and stamp order
-            // are value-independent. The probe's device evaluations
-            // belong to no solve, so they are not counted.
-            let mut t = TripletMatrix::new(n);
-            let mut b = vec![0.0; n];
-            let x0 = vec![0.0; n];
-            let probe_ctx = StampCtx {
-                time: 0.0,
-                source_scale: 0.0,
-                gmin: options.gmin,
-                reactive: reactive_probe,
-            };
-            mna.assemble(&x0, &mut t, &mut b, &probe_ctx, None);
-            match options.structure {
-                SolverStructure::Natural => {
-                    let (pattern, map) = t.compile();
-                    LinearPath::Sparse {
-                        pattern,
-                        map,
-                        lu: None,
-                    }
+        // Record the stamp sequence once. Positions and stamp order are
+        // value-independent. The probe's device evaluations belong to
+        // no solve, so they are not counted.
+        let mut t = TripletMatrix::new(n);
+        let mut b = vec![0.0; n];
+        let x0 = vec![0.0; n];
+        let probe_ctx = StampCtx {
+            time: 0.0,
+            source_scale: 0.0,
+            gmin: options.gmin,
+            reactive: reactive_probe,
+        };
+        mna.assemble(&x0, &mut t, &mut b, &probe_ctx, None);
+        let ordered =
+            n <= options.sparse_threshold || options.structure == SolverStructure::Ordered;
+        let path = if ordered {
+            let (pattern, map, perm) = t.compile_ordered();
+            if is_identity(&perm) {
+                // Identity ordering is the natural factorization; take
+                // the Natural path so "ordered" is only ever a genuinely
+                // permuted system.
+                LinearPath::Natural {
+                    pattern,
+                    map,
+                    lu: None,
                 }
-                SolverStructure::Ordered => {
-                    let (pattern, map, perm) = t.compile_ordered();
-                    if is_identity(&perm) {
-                        // Identity ordering is the natural factorization;
-                        // take the Natural path so "ordered" is only ever
-                        // a genuinely permuted system.
-                        LinearPath::Sparse {
-                            pattern,
-                            map,
-                            lu: None,
-                        }
-                    } else {
-                        let new_of = invert_permutation(&perm);
-                        LinearPath::Ordered {
-                            pattern,
-                            map,
-                            perm,
-                            new_of,
-                            lu: None,
-                            pb: vec![0.0; n],
-                            px: vec![0.0; n],
-                        }
-                    }
+            } else {
+                let new_of = invert_permutation(&perm);
+                LinearPath::Ordered {
+                    pattern,
+                    map,
+                    perm,
+                    new_of,
+                    lu: None,
+                    pb: vec![0.0; n],
+                    px: vec![0.0; n],
                 }
             }
         } else {
-            LinearPath::Dense {
-                a: DenseMatrix::zeros(n),
-                lu: DenseLu::empty(),
+            let (pattern, map) = t.compile();
+            LinearPath::Natural {
+                pattern,
+                map,
+                lu: None,
             }
         };
         Self {
@@ -278,29 +273,22 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
         } = self;
         b.fill(0.0);
         let record = ctx.reactive.is_some().then_some(caps.as_mut_slice());
-        stats.device_evals += match path {
-            LinearPath::Dense { a, .. } => {
-                a.clear();
-                mna.assemble(x, a, b, ctx, record)
-            }
-            LinearPath::Sparse { pattern, map, .. } | LinearPath::Ordered { pattern, map, .. } => {
-                pattern.reset_values();
-                let mut sink = PatternScatter {
-                    values: pattern.values_mut(),
-                    map,
-                    cursor: 0,
-                };
-                let evals = mna.assemble(x, &mut sink, b, ctx, record);
-                // Pattern-drift tripwire: the stamp sequence must replay
-                // the recorded one stamp for stamp.
-                assert_eq!(
-                    sink.cursor,
-                    map.len(),
-                    "assembly stamped a different sequence than the symbolic phase"
-                );
-                evals
-            }
+        let (LinearPath::Natural { pattern, map, .. } | LinearPath::Ordered { pattern, map, .. }) =
+            path;
+        pattern.reset_values();
+        let mut sink = PatternScatter {
+            values: pattern.values_mut(),
+            map,
+            cursor: 0,
         };
+        stats.device_evals += mna.assemble(x, &mut sink, b, ctx, record);
+        // Pattern-drift tripwire: the stamp sequence must replay the
+        // recorded one stamp for stamp.
+        assert_eq!(
+            sink.cursor,
+            map.len(),
+            "assembly stamped a different sequence than the symbolic phase"
+        );
     }
 
     /// One damped Newton solve from `x0` under `ctx`. Returns the
@@ -330,14 +318,7 @@ impl<'m, 'c> NewtonKernel<'m, 'c> {
                 ..
             } = self;
             match path {
-                LinearPath::Dense { a, lu } => {
-                    if let Err(e) = a.factorize_into(lu) {
-                        return Err(singular_failure(mna, None, &e));
-                    }
-                    stats.full_factorizations += 1;
-                    lu.solve_into(b, x_new);
-                }
-                LinearPath::Sparse { pattern, lu, .. } => {
+                LinearPath::Natural { pattern, lu, .. } => {
                     if let Err(e) =
                         factor_sparse(lu, pattern, options.sparse_pivot_tol, faults, stats)
                     {
@@ -441,10 +422,10 @@ pub(crate) mod tests {
     /// Checks the kernel's DC and transient assemblies against a
     /// from-scratch `Mna::assemble` into a fresh triplet matrix,
     /// compressed and brought into the kernel's order, at every stored
-    /// sample of a dense-path transient of `circuit` (the dense path
-    /// never scatters). The transient companions are the capacitive
-    /// network's backward-Euler steps between consecutive samples, with
-    /// the Meyer capacitances at the later one. Values compare as
+    /// sample of a transient of `circuit` under `options`. The
+    /// transient companions are the capacitive network's backward-Euler
+    /// steps between consecutive samples, with the Meyer capacitances
+    /// at the later one. Values compare as
     /// floats: every nonzero value bit for bit, and a slot whose every
     /// stamp is `-0.0` reads `+0.0` from the scatter, which starts each
     /// slot at `+0.0`. Returns the sample count.
@@ -456,18 +437,9 @@ pub(crate) mod tests {
             NewtonKernel::new(&mna, options, Some(network.companions(1.0, 1.0))),
         ];
         for k in &kernels {
-            let path_ordered = match k.path {
-                LinearPath::Sparse { .. } => false,
-                LinearPath::Ordered { .. } => true,
-                _ => panic!("not a natural or ordered sparse path"),
-            };
-            assert_eq!(path_ordered, ordered);
+            assert_eq!(matches!(k.path, LinearPath::Ordered { .. }), ordered);
         }
-        let dense = SimOptions {
-            sparse_threshold: usize::MAX,
-            ..options.clone()
-        };
-        let res = run_transient(circuit, tstop, &dense).expect("transient converges");
+        let res = run_transient(circuit, tstop, options).expect("transient converges");
         let times = res.times();
         for (s, &t) in times.iter().enumerate() {
             let (_, x) = res.state_at(t).expect("a stored sample");
@@ -496,8 +468,7 @@ pub(crate) mod tests {
                     LinearPath::Ordered {
                         pattern, new_of, ..
                     } => (pattern, trip.to_csc().permute_symmetric(new_of)),
-                    LinearPath::Sparse { pattern, .. } => (pattern, trip.to_csc()),
-                    _ => unreachable!("checked above"),
+                    LinearPath::Natural { pattern, .. } => (pattern, trip.to_csc()),
                 };
                 let what = if reactive.is_some() {
                     "transient"
@@ -532,7 +503,10 @@ pub(crate) mod tests {
             let ordered = structure == SolverStructure::Ordered;
             assert!(check_assembly(&chip, &options, 0.2e-9, ordered) > 10);
         }
-        // A small MOSFET circuit forced onto the sparse path.
+        // A small MOSFET circuit in both orders: minimum degree by
+        // default, natural when the threshold lets `structure` choose.
+        let options = SimOptions::default();
+        assert!(check_assembly(&pwl_inverter(), &options, 2.5e-9, true) > 10);
         let options = SimOptions {
             sparse_threshold: 0,
             ..SimOptions::default()
@@ -602,19 +576,14 @@ pub(crate) mod tests {
         );
     }
 
-    /// The first factorization of the `chip_tran` size floorplan's
-    /// transient Jacobian (at its DC point, Meyer capacitances there,
-    /// 1 ps backward-Euler companions): minimum-degree order stores at
-    /// most a tenth of the natural order's factor entries.
-    #[test]
-    fn minimum_degree_cuts_transient_fill_tenfold_on_a_chip_tran_floorplan() {
-        let chip = generate_chip(&spec_for_unknowns(150, 3, 0x5510_c0de)).flatten();
-        let options = SimOptions::default();
-        let dc = solve_dc(&chip, &options).expect("DC converges");
+    /// The first factorization of `circuit`'s transient Jacobian under
+    /// `options`: at its DC point, Meyer capacitances there, 1 ps
+    /// backward-Euler companions.
+    fn first_transient_factorization(circuit: &Circuit, options: &SimOptions) -> SparseLu {
+        let dc = solve_dc(circuit, options).expect("DC converges");
         let x = dc.unknowns();
-        let mna = Mna::new(&chip, options.temperature.as_kelvin());
-        assert_eq!(mna.n_unknowns, 156);
-        let mut network = CapNetwork::new(&chip, &mna);
+        let mna = Mna::new(circuit, options.temperature.as_kelvin());
+        let mut network = CapNetwork::new(circuit, &mna);
         network.set_caps(meyer_at(&mna, x));
         let companions = network.companions(1.0, 1e-12).to_vec();
         let ctx = StampCtx {
@@ -623,23 +592,37 @@ pub(crate) mod tests {
             gmin: options.gmin,
             reactive: Some(&companions),
         };
+        let mut k = NewtonKernel::new(&mna, options, Some(&companions));
+        k.x.clear();
+        k.x.extend_from_slice(x);
+        k.assemble(&ctx);
+        let (LinearPath::Natural { pattern, .. } | LinearPath::Ordered { pattern, .. }) = &k.path;
+        SparseLu::factorize_with_tolerance(pattern, options.sparse_pivot_tol)
+            .expect("the Jacobian factorizes")
+    }
+
+    /// The `chip_tran` size floorplan, 156 unknowns.
+    fn chip_tran_floorplan() -> Circuit {
+        let chip = generate_chip(&spec_for_unknowns(150, 3, 0x5510_c0de)).flatten();
+        assert_eq!(crate::unknown_count(&chip), 156);
+        chip
+    }
+
+    fn with_structure(structure: SolverStructure) -> SimOptions {
+        SimOptions {
+            structure,
+            ..SimOptions::default()
+        }
+    }
+
+    /// The first factorization of the `chip_tran` size floorplan's
+    /// transient Jacobian: minimum-degree order stores at most a tenth
+    /// of the natural order's factor entries.
+    #[test]
+    fn minimum_degree_cuts_transient_fill_tenfold_on_a_chip_tran_floorplan() {
+        let chip = chip_tran_floorplan();
         let factor_nnz = |structure| {
-            let options = SimOptions {
-                structure,
-                ..options.clone()
-            };
-            let mut k = NewtonKernel::new(&mna, &options, Some(&companions));
-            k.x.clear();
-            k.x.extend_from_slice(x);
-            k.assemble(&ctx);
-            let (LinearPath::Sparse { pattern, .. } | LinearPath::Ordered { pattern, .. }) =
-                &k.path
-            else {
-                panic!("not a sparse path");
-            };
-            SparseLu::factorize_with_tolerance(pattern, options.sparse_pivot_tol)
-                .expect("the Jacobian factorizes")
-                .factor_nnz()
+            first_transient_factorization(&chip, &with_structure(structure)).factor_nnz()
         };
         let natural = factor_nnz(SolverStructure::Natural);
         let ordered = factor_nnz(SolverStructure::Ordered);
@@ -647,5 +630,46 @@ pub(crate) mod tests {
             10 * ordered <= natural,
             "minimum-degree fill {ordered} is not a tenth of natural order's {natural}"
         );
+    }
+
+    /// `SparseLu` replays its recorded elimination when it applies at
+    /// most as many updates as its factor has entries. Transient
+    /// Jacobians in minimum-degree order meet that rule, on the SS-TVS
+    /// harness (below the threshold, so in minimum-degree order by
+    /// default) and on the `chip_tran` floorplan; the floorplan in
+    /// natural order misses it by orders of magnitude and keeps the
+    /// workspace loop.
+    #[test]
+    fn replay_rule_on_minimum_degree_and_natural_patterns() {
+        use vls_cells::{Harness, ShifterKind, VoltagePair};
+        let domains = VoltagePair::low_to_high();
+        let (wave, _, _, _) = Harness::standard_stimulus(domains);
+        let sstvs = Harness::build(&ShifterKind::sstvs(), domains, wave, 1e-15).circuit;
+        let chip = chip_tran_floorplan();
+        let rows = [
+            ("SS-TVS", &sstvs, SimOptions::default()),
+            (
+                "floorplan, minimum degree",
+                &chip,
+                with_structure(SolverStructure::Ordered),
+            ),
+            (
+                "floorplan, natural",
+                &chip,
+                with_structure(SolverStructure::Natural),
+            ),
+        ];
+        // (updates, factor entries, replays)
+        let expected = [
+            (57, 93, true),
+            (688, 1_148, true),
+            (1_087_699, 22_902, false),
+        ];
+        for ((what, circuit, options), expected) in rows.into_iter().zip(expected) {
+            let lu = first_transient_factorization(circuit, &options);
+            let (updates, entries) = (lu.updates(), lu.factor_nnz());
+            assert_eq!(lu.replays(), updates <= entries, "{what}");
+            assert_eq!((updates, entries, lu.replays()), expected, "{what}");
+        }
     }
 }

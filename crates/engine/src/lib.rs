@@ -11,9 +11,10 @@
 //!   [`run_transient_from`] resumes one from a stored state;
 //! * [`dc_sweep`] — repeated operating points over a swept source.
 //!
-//! The circuits this workspace characterizes have a few dozen unknowns,
-//! so the engine uses the dense LU from [`vls_num`] by default and the
-//! sparse Gilbert–Peierls factorization above a size threshold.
+//! Every Newton solve factorizes with the sparse Gilbert–Peierls LU
+//! from [`vls_num`]: circuits of a few dozen unknowns, such as the cells
+//! this workspace characterizes, in minimum-degree order, and larger
+//! ones in the order [`SimOptions::structure`] chooses.
 //!
 //! # Example: resistive divider
 //!

@@ -14,7 +14,7 @@
 
 use vls_device::{BoundMos, MosBias, MosCaps, MosStamp, SourceWaveform};
 use vls_netlist::{Circuit, Element, NodeId};
-use vls_num::{DenseMatrix, TripletMatrix};
+use vls_num::TripletMatrix;
 
 /// The number of MNA unknowns for a circuit: non-ground nodes plus one
 /// branch current per voltage source.
@@ -27,15 +27,10 @@ pub fn unknown_count(circuit: &Circuit) -> usize {
     circuit.node_count() - 1 + branches
 }
 
-/// Anything stamps can accumulate into (dense or sparse).
+/// Anything stamps can accumulate into: a triplet list, or the
+/// Newton kernel's scatter into a compiled pattern.
 pub(crate) trait MatrixSink {
     fn stamp(&mut self, row: usize, col: usize, value: f64);
-}
-
-impl MatrixSink for DenseMatrix {
-    fn stamp(&mut self, row: usize, col: usize, value: f64) {
-        self.add(row, col, value);
-    }
 }
 
 impl MatrixSink for TripletMatrix {
@@ -432,7 +427,7 @@ mod tests {
         c.add_resistor("r2", mid, Circuit::GROUND, 1000.0);
         let mna = Mna::new(&c, 300.15);
         let n = mna.n_unknowns;
-        let mut a = DenseMatrix::zeros(n);
+        let mut t = TripletMatrix::new(n);
         let mut b = vec![0.0; n];
         let x = vec![0.0; n];
         let ctx = StampCtx {
@@ -441,7 +436,8 @@ mod tests {
             gmin: 0.0,
             reactive: None,
         };
-        mna.assemble(&x, &mut a, &mut b, &ctx, None);
+        mna.assemble(&x, &mut t, &mut b, &ctx, None);
+        let a = t.to_csc().to_dense();
         let g = 1e-3;
         assert!((a.get(0, 0) - g).abs() < 1e-15); // top: r1 only
         assert!((a.get(1, 1) - 2.0 * g).abs() < 1e-15); // mid: r1 + r2
@@ -465,7 +461,7 @@ mod tests {
         c.add_isource("i1", a_node, Circuit::GROUND, SourceWaveform::Dc(1e-3));
         c.add_resistor("r1", a_node, Circuit::GROUND, 1000.0);
         let mna = Mna::new(&c, 300.15);
-        let mut a = DenseMatrix::zeros(1);
+        let mut t = TripletMatrix::new(1);
         let mut b = vec![0.0];
         let ctx = StampCtx {
             time: 0.0,
@@ -473,8 +469,8 @@ mod tests {
             gmin: 0.0,
             reactive: None,
         };
-        mna.assemble(&[0.0], &mut a, &mut b, &ctx, None);
-        let sol = a.solve(&b).unwrap();
+        mna.assemble(&[0.0], &mut t, &mut b, &ctx, None);
+        let sol = t.to_csc().to_dense().solve(&b).unwrap();
         // 1 mA into 1 kΩ ⇒ +1 V.
         assert!((sol[0] - 1.0).abs() < 1e-12);
     }
@@ -491,7 +487,7 @@ mod tests {
             geq: 1e-3,
             ieq: 2e-3,
         }];
-        let mut a = DenseMatrix::zeros(1);
+        let mut t = TripletMatrix::new(1);
         let mut b = vec![0.0];
         let ctx = StampCtx {
             time: 0.0,
@@ -499,7 +495,8 @@ mod tests {
             gmin: 0.0,
             reactive: Some(&caps),
         };
-        mna.assemble(&[0.0], &mut a, &mut b, &ctx, None);
+        mna.assemble(&[0.0], &mut t, &mut b, &ctx, None);
+        let a = t.to_csc().to_dense();
         assert!((a.get(0, 0) - 2e-3).abs() < 1e-15); // r + geq
         assert!((b[0] - 2e-3).abs() < 1e-15);
     }
@@ -511,7 +508,7 @@ mod tests {
         c.add_vsource("v1", a_node, Circuit::GROUND, SourceWaveform::Dc(2.0));
         c.add_resistor("r1", a_node, Circuit::GROUND, 100.0);
         let mna = Mna::new(&c, 300.15);
-        let mut a = DenseMatrix::zeros(2);
+        let mut t = TripletMatrix::new(2);
         let mut b = vec![0.0; 2];
         let ctx = StampCtx {
             time: 0.0,
@@ -519,7 +516,7 @@ mod tests {
             gmin: 0.0,
             reactive: None,
         };
-        mna.assemble(&[0.0, 0.0], &mut a, &mut b, &ctx, None);
+        mna.assemble(&[0.0, 0.0], &mut t, &mut b, &ctx, None);
         assert_eq!(b[1], 0.5);
     }
 }

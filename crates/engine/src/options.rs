@@ -4,14 +4,15 @@ use vls_check::CheckLevel;
 use vls_fault::FaultPlan;
 use vls_units::Temperature;
 
-/// The order in which the sparse linear system is factorized. Only the
-/// sparse path honors this; dense circuits (at or below
-/// [`SimOptions::sparse_threshold`]) have no order to choose. Every
-/// retry rung ([`SimOptions::escalated`]) keeps the caller's order.
+/// The order in which a circuit of more than
+/// [`SimOptions::sparse_threshold`] unknowns is factorized; smaller
+/// circuits always factorize in minimum-degree order. Every retry rung
+/// ([`SimOptions::escalated`]) keeps the caller's order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverStructure {
-    /// Natural MNA unknown order, flat LU. The default: bit-identical
-    /// to every release before the structured solvers existed.
+    /// Natural MNA unknown order, flat LU. The default: above the
+    /// threshold, bit-identical to every release before the structured
+    /// solvers existed.
     #[default]
     Natural,
     /// One-time minimum-degree fill-reducing symmetric permutation
@@ -57,7 +58,10 @@ pub struct SimOptions {
     /// when that ratio exceeds 16, so this is a target, not a bound:
     /// an accepted step may exceed it up to 16-fold.
     pub lte_tol: f64,
-    /// Unknown count above which the sparse solver is used.
+    /// Unknown count up to which a circuit factorizes in minimum-degree
+    /// order whatever [`SimOptions::structure`] says; above it
+    /// `structure` chooses. `0` lets `structure` choose for every
+    /// circuit.
     pub sparse_threshold: usize,
     /// Diagonal-preference pivot tolerance for the sparse LU: the
     /// diagonal is kept as pivot while its magnitude is at least this
@@ -86,9 +90,8 @@ pub struct SimOptions {
     /// for one transient run — the stepper's deterministic timeout.
     /// `None` (the default) is unlimited.
     pub step_budget: Option<u64>,
-    /// Sparse factorization order: natural (the default, bit-identical
-    /// to prior behavior) or fill-reducing minimum-degree. The dense
-    /// path ignores it.
+    /// Factorization order above [`SimOptions::sparse_threshold`]
+    /// unknowns: natural (the default) or fill-reducing minimum-degree.
     pub structure: SolverStructure,
 }
 
@@ -136,14 +139,13 @@ impl SimOptions {
     /// * rung 1 — gmin floor raised 100× (stiffer regularization pulls
     ///   floating/bistable nodes toward convergence);
     /// * rung 2 — additionally strict partial pivoting
-    ///   (`sparse_pivot_tol = 1.0`), in the caller's sparse order. A
-    ///   frozen pivot that is no longer its column's largest candidate
-    ///   fails the refactorization health check, so the sparse path
-    ///   factorizes as a fresh strict-pivoting factorization would.
-    ///   This rung differs from rung 1 only on sparse circuits: the
-    ///   dense path (at most [`SimOptions::sparse_threshold`] unknowns,
-    ///   every cell harness) already pivots strictly, so there it
-    ///   repeats rung 1 bit for bit;
+    ///   (`sparse_pivot_tol = 1.0`), in the caller's order. A frozen
+    ///   pivot that is no longer its column's largest candidate fails
+    ///   the refactorization health check, so the kernel factorizes as
+    ///   a fresh strict-pivoting factorization would. Every circuit,
+    ///   cell harnesses included, factorizes with diagonal preference
+    ///   by default, so this is a real concession everywhere: it pivots
+    ///   differently and re-pivots more often than rung 1;
     /// * rung 3+ — additionally quarters the LTE tolerance and the
     ///   initial transient step, and the maximum step when one is set
     ///   (LTE headroom on every stepper path, whatever `max_step` a

@@ -130,30 +130,9 @@ impl DenseMatrix {
     /// Returns [`NumError::Singular`] when no acceptable pivot exists in
     /// some column.
     pub fn factorize(&self) -> Result<DenseLu, NumError> {
-        let mut out = DenseLu::empty();
-        self.factorize_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// [`DenseMatrix::factorize`] into a caller-owned factorization, so
-    /// a Newton loop can refactorize every iteration without
-    /// reallocating the `n²` working array. The arithmetic is identical
-    /// to `factorize`; only the storage is reused.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::Singular`] when no acceptable pivot exists in
-    /// some column. `out` is left in an unspecified (but safe) state on
-    /// error.
-    pub fn factorize_into(&self, out: &mut DenseLu) -> Result<(), NumError> {
         let n = self.n;
-        out.n = n;
-        out.lu.clear();
-        out.lu.extend_from_slice(&self.data);
-        out.perm.clear();
-        out.perm.extend(0..n);
-        out.sign = 1.0;
-        let lu = &mut out.lu;
+        let mut lu = self.data.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
         for k in 0..n {
             // Partial pivoting: largest magnitude in column k at/below row k.
             let mut pivot_row = k;
@@ -171,8 +150,7 @@ impl DenseMatrix {
             if pivot_row != k {
                 let (upper, lower) = lu.split_at_mut(pivot_row * n);
                 upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
-                out.perm.swap(k, pivot_row);
-                out.sign = -out.sign;
+                perm.swap(k, pivot_row);
             }
             // Eliminate below the pivot, one row slice at a time.
             let (done, below) = lu.split_at_mut((k + 1) * n);
@@ -189,7 +167,7 @@ impl DenseMatrix {
                 }
             }
         }
-        Ok(())
+        Ok(DenseLu { n, lu, perm })
     }
 
     /// Convenience: factorize and solve `A·x = b` in one call.
@@ -216,21 +194,9 @@ pub struct DenseLu {
     n: usize,
     lu: Vec<f64>,
     perm: Vec<usize>,
-    sign: f64,
 }
 
 impl DenseLu {
-    /// An empty (dimension-zero) factorization, ready to be filled by
-    /// [`DenseMatrix::factorize_into`].
-    pub fn empty() -> Self {
-        Self {
-            n: 0,
-            lu: Vec::new(),
-            perm: Vec::new(),
-            sign: 1.0,
-        }
-    }
-
     /// The factorized dimension.
     pub fn dim(&self) -> usize {
         self.n
@@ -242,28 +208,12 @@ impl DenseLu {
     ///
     /// Panics if `b.len()` differs from the factorized dimension.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = vec![0.0; self.n];
-        self.solve_into(b, &mut x);
-        x
-    }
-
-    /// [`DenseLu::solve`] into a caller-owned output buffer; every
-    /// element of `x` is overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` or `x.len()` differs from the factorized
-    /// dimension.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
-        assert_eq!(x.len(), self.n, "output length mismatch");
         let n = self.n;
-        if n == 0 {
-            return;
-        }
         // Apply permutation, then forward substitution (L has unit diagonal).
-        for (xi, &p) in x.iter_mut().zip(&self.perm) {
-            *xi = b[p];
+        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
+        if n == 0 {
+            return x;
         }
         for (i, row) in self.lu.chunks_exact(n).enumerate().skip(1) {
             let (solved, rest) = x.split_at_mut(i);
@@ -282,15 +232,7 @@ impl DenseLu {
             }
             head[i] = sum / row[i];
         }
-    }
-
-    /// The determinant of the factorized matrix.
-    pub fn determinant(&self) -> f64 {
-        let mut det = self.sign;
-        for i in 0..self.n {
-            det *= self.lu[i * self.n + i];
-        }
-        det
+        x
     }
 }
 
@@ -345,17 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_of_triangular_matrix() {
-        let a = DenseMatrix::from_rows(&[
-            vec![2.0, 1.0, 0.0],
-            vec![0.0, 3.0, 5.0],
-            vec![0.0, 0.0, 4.0],
-        ]);
-        let det = a.factorize().unwrap().determinant();
-        assert!((det - 24.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn residual_is_small_for_ill_scaled_system() {
         // Conductance-like scaling spread: 1e-12 .. 1e3, as in real MNA.
         let a = DenseMatrix::from_rows(&[
@@ -396,36 +327,5 @@ mod tests {
         a.add(0, 0, 1.5);
         a.add(0, 0, 2.5);
         assert_eq!(a.get(0, 0), 4.0);
-    }
-
-    #[test]
-    fn factorize_into_reuses_buffers_and_matches_factorize() {
-        let a = DenseMatrix::from_rows(&[
-            vec![2.0, 1.0, -1.0],
-            vec![-3.0, -1.0, 2.0],
-            vec![-2.0, 1.0, 2.0],
-        ]);
-        let fresh = a.factorize().unwrap();
-        let mut reused = DenseLu::empty();
-        // Pre-dirty the buffers with a different system first.
-        DenseMatrix::identity(5)
-            .factorize_into(&mut reused)
-            .unwrap();
-        a.factorize_into(&mut reused).unwrap();
-        assert_eq!(reused.dim(), 3);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&fresh.lu), bits(&reused.lu));
-        assert_eq!(fresh.perm, reused.perm);
-        let b = [8.0, -11.0, -3.0];
-        let mut x = vec![f64::NAN; 3];
-        reused.solve_into(&b, &mut x);
-        assert_eq!(bits(&fresh.solve(&b)), bits(&x));
-    }
-
-    #[test]
-    #[should_panic(expected = "output length mismatch")]
-    fn solve_into_rejects_wrong_output_length() {
-        let lu = DenseMatrix::identity(3).factorize().unwrap();
-        lu.solve_into(&[1.0, 2.0, 3.0], &mut [0.0; 2]);
     }
 }

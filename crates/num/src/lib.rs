@@ -1,30 +1,30 @@
 //! Dense and sparse linear algebra for circuit simulation.
 //!
-//! Modified nodal analysis produces small, moderately sparse, highly
-//! ill-scaled systems (conductances from 1e-12 S gmin up to 1e3 S companion
-//! conductances). This crate provides exactly the two factorizations a
-//! SPICE-class engine needs:
+//! Modified nodal analysis produces sparse, highly ill-scaled systems
+//! (conductances from 1e-12 S gmin up to 1e3 S companion conductances).
+//! This crate provides:
 //!
-//! * [`DenseMatrix`] with partially pivoted LU — the default for the
-//!   < 100-node circuits this workspace characterizes, where dense wins on
-//!   constant factors;
 //! * [`CscMatrix`] with a left-looking Gilbert–Peierls sparse LU
-//!   ([`SparseLu`]) for larger decks parsed from SPICE files.
-//!
-//! Both are validated against each other by property tests.
+//!   ([`SparseLu`]) and a minimum-degree order ([`min_degree`]): the
+//!   factorization every circuit solve runs, from a 15-unknown cell
+//!   harness to a 100k-unknown floorplan;
+//! * [`DenseMatrix`] with partially pivoted LU, the independent
+//!   reference the sparse factorization is checked against by unit and
+//!   property tests;
+//! * [`ComplexMatrix`] for small-signal AC analysis.
 //!
 //! # Example
 //!
 //! ```
-//! use vls_num::DenseMatrix;
+//! use vls_num::{SparseLu, TripletMatrix};
 //!
 //! # fn main() -> Result<(), vls_num::NumError> {
-//! let mut a = DenseMatrix::zeros(2);
-//! a.set(0, 0, 2.0);
-//! a.set(0, 1, 1.0);
-//! a.set(1, 0, 1.0);
-//! a.set(1, 1, 3.0);
-//! let x = a.factorize()?.solve(&[5.0, 10.0]);
+//! let mut a = TripletMatrix::new(2);
+//! a.add(0, 0, 2.0);
+//! a.add(0, 1, 1.0);
+//! a.add(1, 0, 1.0);
+//! a.add(1, 1, 3.0);
+//! let x = SparseLu::factorize(&a.to_csc())?.solve(&[5.0, 10.0])?;
 //! assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 3.0).abs() < 1e-12);
 //! # Ok(())
 //! # }

@@ -13,8 +13,8 @@ pub struct SolverStats {
     pub newton_iters: u64,
     /// Linear systems solved (forward/backward substitutions).
     pub linear_solves: u64,
-    /// Full factorizations with pivot search (dense LU or sparse
-    /// Gilbert–Peierls with symbolic analysis).
+    /// Full factorizations with pivot search (sparse Gilbert–Peierls
+    /// with symbolic analysis).
     pub full_factorizations: u64,
     /// Numeric-only sparse refactorizations reusing the frozen pivot
     /// order and symbolic structure.

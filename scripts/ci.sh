@@ -51,7 +51,8 @@ VLS_JOBS=1 cargo test -q --test charlib_surrogate --test charlib_golden --test c
 cargo test -q --test charlib_surrogate --test charlib_golden --test charlib_artifact
 
 # The Newton-kernel leg: the equivalence suite (retry rung 2 against
-# the default, sparse against dense, the structure-reuse counter
+# the default on all six cells, which must also book different work on
+# at least one, natural against minimum-degree order, the structure-reuse counter
 # invariants, and the six-cell counter rule that a transient walks each
 # MOSFET once per Newton iteration and makes a standalone capacitance
 # walk only at its start and at each breakpoint landing; the companions
@@ -104,9 +105,11 @@ echo "==> cargo test (opt regression, VLS_JOBS=1 and default jobs)"
 VLS_JOBS=1 cargo test -q --test opt_regression
 cargo test -q --test opt_regression
 
-# The numerics leg: clippy scoped to the numerics crate (the dense and
-# sparse LU and the minimum-degree ordering live there and must stay
-# warning-free on their own). The sparse-order golden suite
+# The numerics leg: clippy scoped to the numerics crate (the sparse LU
+# with its replayed refactorization, the minimum-degree ordering and the
+# dense LU oracle live there and must stay warning-free on their own;
+# the vls-num unit test refactorize_matches_full_factorization_bitwise
+# runs in the workspace test leg). The sparse-order golden suite
 # (tests/solve_scale.rs) runs in the workspace test leg above; no
 # solve starts a thread, so it has no worker count to vary.
 echo "==> cargo clippy -p vls-num (deny warnings)"

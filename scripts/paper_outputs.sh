@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Writes every paper table, figure and study this repository
 # regenerates, a smoke characterization artifact and the stdout of each
-# root example, into <out_dir>: one file per output. The outputs are deterministic (serial runner
+# root example, into <out_dir>: one file per output, plus the
+# full-precision CSV of each binary that writes one (table1, figure5,
+# figure8, figure9), where moves below the printed digits show. The
+# outputs are deterministic (serial runner
 # where a run shards), so two commits that should compute the same
 # answers can be compared byte for byte:
 #
@@ -32,13 +35,13 @@ run() {
     "$bin/$@" > "$out/$name.txt"
 }
 
-run table1 table1
+run table1 table1 --csv "$out/table1.csv"
 run table2 table2
 run table3 table3 --trials 200 --jobs 1
 run table4 table4 --trials 200 --jobs 1
-run figure5 figure5
-run figure8 figure8 --jobs 1
-run figure9 figure9 --jobs 1
+run figure5 figure5 --csv "$out/figure5.csv"
+run figure8 figure8 --jobs 1 --csv "$out/figure8.csv"
+run figure9 figure9 --jobs 1 --csv "$out/figure9.csv"
 run robustness robustness --trials 64
 run worst_case worst_case
 run ablations ablations

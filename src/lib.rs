@@ -12,7 +12,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`fault`] | `vls-fault` | deterministic fault-injection plans and charge sessions |
-//! | [`num`] | `vls-num` | dense + sparse LU for MNA systems |
+//! | [`num`] | `vls-num` | sparse LU for MNA systems, dense LU as its oracle |
 //! | [`units`] | `vls-units` | typed volts/amps/seconds/…, temperature |
 //! | [`device`] | `vls-device` | MOSFET model, model cards, sources, passives |
 //! | [`netlist`] | `vls-netlist` | circuits, subcircuits, SPICE-deck parser |

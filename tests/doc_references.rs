@@ -1,6 +1,7 @@
-//! The documents name only targets the tree has. README.md, DESIGN.md
-//! and the verify skill's SKILL.md may name a `--bin`, `--example` or
-//! `--test` target, or a `BENCH_*.json` file, only if it exists:
+//! The documents name only targets the tree has. README.md, DESIGN.md,
+//! EXPERIMENTS.md and the verify skill's SKILL.md may name a `--bin`,
+//! `--example` or `--test` target, or a `BENCH_*.json` file, only if it
+//! exists:
 //!
 //! * bins are the files `crates/*/src/bin/*.rs` and the `[[bin]]`
 //!   `name` entries of the root and crate manifests;
@@ -8,16 +9,20 @@
 //! * tests are the files `tests/*.rs` and `crates/*/tests/*.rs`;
 //! * `BENCH_*.json` files sit at the repository root.
 //!
-//! EXPERIMENTS.md joins the checked documents once its references to
-//! deleted binaries are gone (22 of them, to eight binaries; ROADMAP
-//! item 16 step 2). CHANGELOG.md keeps retired history and stays out.
+//! CHANGELOG.md keeps retired history, deleted targets' commands
+//! included, and stays out.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The checked documents, relative to the repository root.
-const DOCUMENTS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
+const DOCUMENTS: [&str; 4] = [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+];
 
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

@@ -57,8 +57,9 @@ fn victim() -> Harness {
     )
 }
 
-/// Base options for faulted runs: the sparse path (so the pivot hook
-/// is live), plan armed per trial seed.
+/// Base options for faulted runs: natural order on every circuit
+/// (`sparse_threshold: 0` leaves the order to `structure`), plan armed
+/// per trial seed.
 fn faulted_sim(plan: &FaultPlan, seed: u64) -> SimOptions {
     SimOptions {
         sparse_threshold: 0,
@@ -365,7 +366,7 @@ fn fuzzed_perturbations_never_panic_and_fail_typed() {
             let map = sample_perturbation(&h.circuit, &spec, &mut rng, |_| true);
             let mut circuit = h.circuit.clone();
             map.apply(&mut circuit);
-            // Exercise both analysis kinds on the sparse path.
+            // Exercise both analysis kinds in natural order.
             let sim = SimOptions {
                 sparse_threshold: 0,
                 ..SimOptions::default()

@@ -54,9 +54,9 @@ fn golden_nominal_characterization_at_90c() {
         SolverStats {
             newton_iters: 1415,
             linear_solves: 1415,
-            full_factorizations: 1415,
-            refactorizations: 0,
-            refactor_fallbacks: 0,
+            full_factorizations: 7,
+            refactorizations: 1408,
+            refactor_fallbacks: 1,
             device_evals: 23925,
             device_bypasses: 0,
             cap_evals: 187,

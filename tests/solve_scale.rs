@@ -1,8 +1,8 @@
 //! Golden suite for the chip-scale sparse solver orders.
 //!
-//! Above the dense threshold the kernel factorizes in natural MNA order
-//! (`Natural`, the default) or under a minimum-degree fill-reducing
-//! order (`Ordered`). This file pins them:
+//! Above `SimOptions::sparse_threshold` the kernel factorizes in
+//! natural MNA order (`Natural`, the default) or under a minimum-degree
+//! fill-reducing order (`Ordered`). This file pins them:
 //!
 //! * **property sweep** — over seeded random hub-and-chain patterns,
 //!   the ordered factorization represents the same operator (solving
@@ -25,7 +25,8 @@ use sstvs::num::rng::{Rng, Xoshiro256pp};
 use sstvs::num::{invert_permutation, DenseMatrix, SparseLu, TripletMatrix};
 
 /// Options tightened so two differently-ordered Newton trajectories
-/// land within 1e-9 V of each other, with the sparse path forced on.
+/// land within 1e-9 V of each other, with `structure` choosing the
+/// order on every circuit.
 fn tight(structure: SolverStructure) -> SimOptions {
     SimOptions {
         structure,
@@ -136,8 +137,8 @@ fn ordered_factorization_reconstructs_and_reduces_fill_over_a_seed_sweep() {
     }
 }
 
-/// A 100-instance floorplan: flattened, it is well past the dense
-/// threshold.
+/// A 100-instance floorplan: flattened, it is well past
+/// `sparse_threshold`.
 fn chip_100() -> Circuit {
     generate_chip(&ChipSpec {
         instances: 100,
